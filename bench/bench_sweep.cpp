@@ -49,14 +49,6 @@
 #include <string>
 #include <vector>
 
-// run_sweep/run_sweep_serial are deprecated in favor of Evaluator::sweep;
-// this file exercises the sweep engine directly on purpose (it is the layer
-// under test/measurement, below the facade).
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-
-
 namespace {
 
 double seconds_of(const std::function<void()>& fn) {
@@ -157,10 +149,10 @@ int main(int argc, char** argv) {
   const std::size_t points = cfg.grid.size();
   const int hw = core::usable_hardware_threads();
 
-  // Reference: plain serial loop, no pool involved.
+  // Reference: no pool, the calling thread evaluates every point.
   sweep::SweepResult serial_result;
-  const double serial_s =
-      best_seconds(reps, [&] { serial_result = sweep::run_sweep_serial(cfg); });
+  const double serial_s = best_seconds(
+      reps, [&] { serial_result = sweep::run_sweep(cfg, nullptr); });
   const double serial_pps = static_cast<double>(points) / serial_s;
 
   report::Table table(
@@ -184,7 +176,7 @@ int main(int argc, char** argv) {
     sweep::SweepResult result;
     const std::uint64_t steals_before = pool.steals();
     const double s =
-        best_seconds(reps, [&] { result = sweep::run_sweep(cfg, pool); });
+        best_seconds(reps, [&] { result = sweep::run_sweep(cfg, &pool); });
     PoolSample sample;
     sample.threads = threads;
     sample.seconds = s;

@@ -191,9 +191,12 @@ PageRankResult pagerank_distributed(const Graph& g, const Topology& topology,
           break;
       }
     } else {
+      // A chaotic sweep may see only one peer's new block, so reaching the
+      // tolerance can take up to one publishing sweep per peer publication:
+      // the budget is max_rounds per process, not max_rounds in total.
       rounds_done[static_cast<std::size_t>(me)] = runtime::run_to_quiescence(
           quiescence, me, [&] { return damped_sweep(true).first; },
-          options.max_rounds);
+          options.max_rounds * p);
     }
   });
 

@@ -24,6 +24,8 @@ struct PageRankOptions {
   int processes = 8;
   double damping = 0.85;
   double tolerance = 1e-10;  ///< max |r_v(t+1) - r_v(t)| termination
+  /// Synchronous: barriered rounds. Asynchronous: publishing sweeps per
+  /// process, times `processes` (peers publish at their own pace).
   int max_rounds = 200;
   CommMode comm = CommMode::Synchronous;
   Distribution distribution = Distribution::InterProc;

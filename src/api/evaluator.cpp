@@ -7,12 +7,6 @@
 #include <sstream>
 #include <utility>
 
-// The facade IS the replacement for the deprecated entry points it delegates
-// to; calling them here must stay quiet under -DSTAMP_WARN_DEPRECATED=ON.
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-
 namespace stamp {
 
 Evaluator::Evaluator(EvaluatorOptions options) : options_(std::move(options)) {
@@ -94,27 +88,12 @@ machine::SimResult Evaluator::simulate_run(const runtime::RunResult& run,
 
 sweep::SweepResult Evaluator::sweep(const sweep::SweepConfig& config,
                                     const sweep::SweepOptions& options) const {
-  if (options.threads <= 1) return sweep::run_sweep_serial(config, options);
+  if (options.threads <= 1) return sweep::run_sweep(config, nullptr, options);
   // The lock covers the whole run: it both guards the pool cache and
   // serializes concurrent sweep/optimize calls on one Evaluator (the pool
   // supports only one parallel loop at a time anyway).
   std::lock_guard<std::mutex> lock(sweep_pool_mutex_);
-  return sweep::run_sweep(config, *pool_for(options.threads), options);
-}
-
-sweep::SweepResult Evaluator::sweep(const sweep::SweepConfig& config,
-                                    int threads) const {
-  sweep::SweepOptions options;
-  options.threads = threads;
-  return sweep(config, options);
-}
-
-sweep::SweepResult Evaluator::sweep(const sweep::SweepConfig& config,
-                                    int threads,
-                                    const sweep::SweepOptions& options) const {
-  sweep::SweepOptions merged = options;
-  merged.threads = threads;
-  return sweep(config, merged);
+  return sweep::run_sweep(config, pool_for(options.threads), options);
 }
 
 SearchResult Evaluator::optimize(const SearchRequest& request) const {

@@ -14,11 +14,12 @@
 /// later) and every simulator replay, executor run, pool loop, and cache
 /// access records spans and metrics you can export as Chrome trace JSON.
 ///
-/// The old free functions remain as thin delegating shims with
-/// `STAMP_DEPRECATED` notes (see `core/compat.hpp`).
+/// The layers underneath (`sweep::run_sweep`, `search::run_search`,
+/// `place_best`, `runtime::run_processes`) stay public for code that drives
+/// one subsystem directly; the Evaluator is the one place that turns a thread
+/// count into a pool.
 
 #include "api/search_types.hpp"
-#include "core/compat.hpp"
 #include "core/core.hpp"
 #include "fault/fault.hpp"
 #include "machine/simulator.hpp"
@@ -162,21 +163,6 @@ class Evaluator {
       const sweep::SweepConfig& config,
       const sweep::SweepOptions& options = {}) const;
 
-  /// \deprecated `threads` moved into `SweepOptions::threads` — call
-  /// `sweep(config, {.threads = threads})`.
-  STAMP_DEPRECATED(
-      "pass threads via SweepOptions::threads: sweep(config, options)")
-  [[nodiscard]] sweep::SweepResult sweep(const sweep::SweepConfig& config,
-                                         int threads) const;
-
-  /// \deprecated `threads` moved into `SweepOptions::threads` — call
-  /// `sweep(config, options)` with `options.threads` set.
-  STAMP_DEPRECATED(
-      "pass threads via SweepOptions::threads: sweep(config, options)")
-  [[nodiscard]] sweep::SweepResult sweep(const sweep::SweepConfig& config,
-                                         int threads,
-                                         const sweep::SweepOptions& options) const;
-
   // -- search ----------------------------------------------------------------
 
   /// Find the grid's optimum without pricing every point. Dispatches on
@@ -218,9 +204,10 @@ class Evaluator {
   [[nodiscard]] sweep::Pool* pool_for(int threads) const;
 
   EvaluatorOptions options_;
-  /// Sweep-pool cache: rebuilt only when a `sweep` call asks for a different
-  /// width. Mutable because pooling threads is a caching detail of the
-  /// logically-const sweep; the mutex serializes concurrent sweep calls on
+  /// Sweep-pool cache: rebuilt only when a pooled `sweep`/`optimize` call
+  /// asks for a different width; a single-threaded call never touches it.
+  /// Mutable because pooling threads is a caching detail of the
+  /// logically-const sweep; the mutex serializes concurrent pooled calls on
   /// one Evaluator (the pool itself allows only one loop at a time anyway).
   mutable std::mutex sweep_pool_mutex_;
   mutable std::unique_ptr<sweep::Pool> sweep_pool_;

@@ -53,9 +53,10 @@ struct SearchRequest {
   /// with the same request produce byte-identical artifacts.
   std::uint64_t seed = 1;
 
-  /// Worker threads for exact leaf pricing (BranchAndBound) and the
-  /// exhaustive scan; <= 1 runs serially. The search trajectory itself is
-  /// always expanded serially, so the artifact does not depend on this.
+  /// Worker threads `Evaluator::optimize` prices leaf blocks (BranchAndBound)
+  /// and the exhaustive scan with; <= 1 runs on the calling thread. The
+  /// search trajectory itself is always expanded serially, so the artifact
+  /// does not depend on this.
   int threads = 1;
 
   /// BranchAndBound: seed the incumbent with a short annealing run before

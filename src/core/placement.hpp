@@ -18,7 +18,6 @@
 /// peers co-located with it; the counters split accordingly and the standard
 /// cost formulas apply.
 
-#include "core/compat.hpp"
 #include "core/cost_model.hpp"
 #include "core/envelope.hpp"
 #include "core/metrics.hpp"
@@ -116,12 +115,10 @@ struct PlacementResult {
     std::span<const ProcessProfile> profiles, const MachineModel& machine,
     Objective objective, int max_processes = 64);
 
-/// Convenience: best of {fill-first, round-robin, greedy, exact-if-uniform}.
-/// \deprecated Scheduled for removal once the last in-tree caller migrates;
-/// new code must go through the facade.
-STAMP_DEPRECATED(
-    "use stamp::Evaluator::best_placement (api/stamp.hpp); place_best will "
-    "be removed in a future release")
+/// Best of {fill-first, round-robin, greedy, exact-if-uniform} under
+/// `objective`: feasible placements win over infeasible ones, then the lower
+/// objective value. `Evaluator::best_placement` applies it on the
+/// Evaluator's machine.
 [[nodiscard]] PlacementResult place_best(std::span<const ProcessProfile> profiles,
                                          const MachineModel& machine,
                                          Objective objective);

@@ -10,7 +10,6 @@
 /// per-process counter records feed the analytic cost model — this is the
 /// "measured" column of the benches.
 
-#include "core/compat.hpp"
 #include "core/cost_model.hpp"
 #include "runtime/instrument.hpp"
 #include "runtime/placement_map.hpp"
@@ -105,11 +104,7 @@ struct SupervisedResult {
                                               int max_failovers = 1);
 
 /// Convenience: place `n` processes per `distribution` on `topology`, run.
-/// \deprecated Scheduled for removal once the last in-tree caller migrates;
-/// new code must go through the facade.
-STAMP_DEPRECATED(
-    "use stamp::Evaluator::run (api/stamp.hpp); run_distributed will be "
-    "removed in a future release")
+/// `Evaluator::run` does the same on the Evaluator's machine.
 [[nodiscard]] RunResult run_distributed(const Topology& topology, int n,
                                         Distribution distribution,
                                         const ProcessBody& body);

@@ -52,8 +52,7 @@ class PointEval {
       const std::span<sweep::SweepRecord> one(&rec, 1);
       sweep::BatchEvaluator evaluator(cfg_, cache_, opts_,
                                       /*record_offset=*/index);
-      evaluator.run_range(index, index + 1, one, /*fail_fast=*/true, nullptr,
-                          nullptr);
+      evaluator.run(nullptr, index, index + 1, one);
       if (rec.processes == 0) return std::nullopt;  // cancelled
       ++*evaluated_;
       it = memo_.emplace(index, std::move(rec)).first;

@@ -9,8 +9,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <exception>
-#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -33,9 +31,7 @@ class BnbEngine {
         res_(result),
         cfg_(request.config),
         ctx_(request.config),
-        cache_(pool != nullptr
-                   ? static_cast<std::size_t>(pool->threads()) * 8
-                   : 16,
+        cache_(sweep::cache_shards(pool),
                request.config.cache_entries_per_shard),
         pool_(pool),
         expand_counter_(obs::MetricsRegistry::global().counter("search.expand")),
@@ -155,21 +151,8 @@ class BnbEngine {
     const std::span<sweep::SweepRecord> records(leaf_.data(), count);
     sweep::BatchEvaluator eval(cfg_, cache_, eval_opts_,
                                /*record_offset=*/base);
-    if (pool_ != nullptr && pool_->threads() > 1 && count >= kPoolThreshold) {
-      std::mutex error_mutex;
-      std::exception_ptr first_error;
-      pool_->parallel_for_ranges(
-          count,
-          [&](std::size_t lo, std::size_t hi) {
-            eval.run_range(base + lo, base + hi, records, /*fail_fast=*/false,
-                           &error_mutex, &first_error);
-          },
-          req_.cancel);
-      if (first_error) std::rethrow_exception(first_error);
-    } else {
-      eval.run_range(base, base + count, records, /*fail_fast=*/true, nullptr,
-                     nullptr);
-    }
+    eval.run(count >= kPoolThreshold ? pool_ : nullptr, base, base + count,
+             records);
 
     // Serial scan in index order — the argmin the exhaustive sweep computes.
     for (std::size_t i = 0; i < count; ++i) {

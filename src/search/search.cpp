@@ -9,9 +9,6 @@
 #include "sweep/cache.hpp"
 
 #include <cstdint>
-#include <exception>
-#include <memory>
-#include <mutex>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -109,26 +106,12 @@ SearchResult search_exhaustive(const SearchRequest& request,
   // The oracle holds the whole grid's records at once (like a sweep run) —
   // fine for the test grids it exists for, deliberate for large ones.
   std::vector<sweep::SweepRecord> records(total);
-  sweep::CostCache cache(pool ? static_cast<std::size_t>(pool->threads()) * 8
-                              : 16,
+  sweep::CostCache cache(sweep::cache_shards(pool),
                          cfg.cache_entries_per_shard);
   sweep::SweepOptions opts;
   opts.cancel = request.cancel;
   sweep::BatchEvaluator eval(cfg, cache, opts);
-  if (pool && pool->threads() > 1) {
-    std::mutex error_mutex;
-    std::exception_ptr first_error;
-    pool->parallel_for_ranges(
-        total,
-        [&](std::size_t begin, std::size_t end) {
-          eval.run_range(begin, end, records, /*fail_fast=*/false,
-                         &error_mutex, &first_error);
-        },
-        request.cancel);
-    if (first_error) std::rethrow_exception(first_error);
-  } else {
-    eval.run_range(0, total, records, /*fail_fast=*/true, nullptr, nullptr);
-  }
+  eval.run(pool, 0, total, records);
 
   // Serial argmin scan in index order: identical incumbent history (and
   // artifact) at every thread count.
@@ -155,14 +138,8 @@ SearchResult search_exhaustive(const SearchRequest& request,
 }
 
 SearchResult run_search(const SearchRequest& request, sweep::Pool* pool) {
-  // Annealing is strictly serial; the other engines only use threads for
+  // Annealing is strictly serial; the other engines only use the pool for
   // exact leaf pricing, never for the search trajectory itself.
-  std::unique_ptr<sweep::Pool> owned;
-  if (pool == nullptr && request.threads > 1 &&
-      request.method != SearchMethod::Anneal) {
-    owned = std::make_unique<sweep::Pool>(request.threads);
-    pool = owned.get();
-  }
   switch (request.method) {
     case SearchMethod::BranchAndBound:
       return search_bnb(request, pool);

@@ -54,10 +54,10 @@ namespace stamp::search {
     bool skip_unevaluated = false) noexcept;
 
 /// Run the method `request.method` asks for. `pool` (optional) prices leaf
-/// blocks / the exhaustive scan in parallel; when null and
-/// `request.threads > 1`, a temporary pool is spawned. Annealing is always
-/// serial. Throws what point evaluation throws (invalid axis values), like
-/// the sweep engine.
+/// blocks / the exhaustive scan in parallel; when null they run on the
+/// calling thread (`request.threads` is read by `Evaluator::optimize`, which
+/// owns the pool). Annealing is always serial. Throws what point evaluation
+/// throws (invalid axis values), like the sweep engine.
 [[nodiscard]] SearchResult run_search(const SearchRequest& request,
                                       sweep::Pool* pool = nullptr);
 

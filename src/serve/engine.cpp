@@ -107,8 +107,7 @@ std::string ServeEngine::handle_evaluate(const ServeRequest& request,
   options.cancel = cancel;
   sweep::BatchEvaluator evaluator(config_, cache_, options,
                                   /*record_offset=*/index);
-  static_cast<void>(evaluator.run_range(index, index + 1, records,
-                                        /*fail_fast=*/true, nullptr, nullptr));
+  static_cast<void>(evaluator.run(nullptr, index, index + 1, records));
   if (tripped(cancel))
     return error_response(request.id, 504, "deadline exceeded");
   return ok_evaluate(request.id, axis_names_, records.front());
@@ -127,8 +126,7 @@ std::string ServeEngine::handle_sweep_chunk(const ServeRequest& request,
   options.cancel = cancel;
   sweep::BatchEvaluator evaluator(config_, cache_, options,
                                   /*record_offset=*/begin);
-  static_cast<void>(evaluator.run_range(begin, end, records,
-                                        /*fail_fast=*/true, nullptr, nullptr));
+  static_cast<void>(evaluator.run(nullptr, begin, end, records));
   if (tripped(cancel))
     return error_response(request.id, 504, "deadline exceeded");
   return ok_sweep_chunk(request.id, axis_names_, request.begin, records);

@@ -11,7 +11,9 @@
 #include <atomic>
 #include <bit>
 #include <cmath>
+#include <exception>
 #include <limits>
+#include <mutex>
 #include <numeric>
 #include <optional>
 #include <stdexcept>
@@ -37,100 +39,11 @@ std::uint64_t next_evaluator_id() {
   return counter.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
-// ---------------------------------------------------------------------------
-// The scalar reference path (the pre-batch implementation, kept verbatim).
-// ---------------------------------------------------------------------------
-
-struct ReferenceScratch {
-  std::vector<ProcessProfile> profiles;
-  std::vector<int> candidates;
-};
-
-ReferenceScratch& reference_scratch() {
-  thread_local ReferenceScratch scratch;
-  return scratch;
-}
-
-PointCost reference_placement_cost(const PointSetup& s, int n,
-                                   Objective objective,
-                                   std::vector<ProcessProfile>& profiles) {
-  profiles.assign(static_cast<std::size_t>(n), strong_scaled(s.profile, n));
-  PlacementResult r;
-  switch (s.strategy) {
-    case PlacementStrategy::FillFirst:
-      r = place_fill_first(profiles, s.machine, objective);
-      break;
-    case PlacementStrategy::RoundRobin:
-      r = place_round_robin(profiles, s.machine, objective);
-      break;
-    case PlacementStrategy::Greedy:
-      r = place_greedy(profiles, s.machine, objective);
-      break;
-  }
-  return PointCost{r.eval.total, r.eval.feasible, n};
-}
-
 }  // namespace
 
-PointCost compute_point_cost_reference(const PointSetup& s,
-                                       Objective objective) {
-  const int limit = std::max(1, std::min(s.processes,
-                                         s.machine.topology.total_threads()));
-  ReferenceScratch& scratch = reference_scratch();
-  scratch.candidates.clear();
-  for (int n = 1; n < limit; n *= 2) scratch.candidates.push_back(n);
-  scratch.candidates.push_back(limit);
-
-  PointCost best{};
-  bool have = false;
-  for (const int n : scratch.candidates) {
-    const PointCost c =
-        reference_placement_cost(s, n, objective, scratch.profiles);
-    const bool better_feasibility = c.feasible && !best.feasible;
-    const bool same_feasibility = c.feasible == best.feasible;
-    if (!have || better_feasibility ||
-        (same_feasibility && metric_value(c.cost, objective) <
-                                 metric_value(best.cost, objective))) {
-      best = c;
-      have = true;
-    }
-  }
-  return best;
+std::size_t cache_shards(const Pool* pool) noexcept {
+  return pool != nullptr ? static_cast<std::size_t>(pool->threads()) * 8 : 16;
 }
-
-SweepRecord evaluate_point_reference(const SweepConfig& cfg,
-                                     std::size_t index) {
-  SweepRecord rec;
-  rec.index = index;
-  rec.params = cfg.grid.point(index);
-  const PointSetup s = setup_point(cfg, rec.params);
-  const PointCost pc = compute_point_cost_reference(s, cfg.objective);
-  rec.feasible = pc.feasible;
-  rec.processes = pc.processes;
-  rec.metrics.D = metric_value(pc.cost, Objective::D);
-  rec.metrics.PDP = metric_value(pc.cost, Objective::PDP);
-  rec.metrics.EDP = metric_value(pc.cost, Objective::EDP);
-  rec.metrics.ED2P = metric_value(pc.cost, Objective::ED2P);
-
-  const ProcessProfile per_process = strong_scaled(s.profile, rec.processes);
-  models::RoundSpec rs;
-  rs.local_ops = per_process.c_fp + per_process.c_int;
-  rs.msgs_out = per_process.m_s;
-  rs.msgs_in = per_process.m_r;
-  rs.shm_reads = per_process.d_r;
-  rs.shm_writes = per_process.d_w;
-  rs.max_location_accesses = per_process.kappa;
-  const models::ClassicalParams cp =
-      models::classical_from_machine(s.machine.params);
-  for (int k = 0; k < models::kModelKindCount; ++k)
-    rec.classical[static_cast<std::size_t>(k)] =
-        models::round_time(static_cast<models::ModelKind>(k), rs, cp);
-  return rec;
-}
-
-// ---------------------------------------------------------------------------
-// The batch evaluator.
-// ---------------------------------------------------------------------------
 
 /// Per-thread reusable state. Everything is sized once (to kBatch) and reused
 /// for every sub-batch the thread processes; the vectors only ever grow, so
@@ -215,28 +128,57 @@ BatchEvaluator::Scratch& BatchEvaluator::scratch() const {
   return sc;
 }
 
+/// The first failure of a run, shared by every worker evaluating it.
+struct BatchEvaluator::Failure {
+  std::mutex mutex;
+  std::exception_ptr first;
+
+  void record() {
+    const std::lock_guard<std::mutex> lock(mutex);
+    if (!first) first = std::current_exception();
+  }
+};
+
+std::uint64_t BatchEvaluator::run(Pool* pool, std::size_t begin,
+                                  std::size_t end,
+                                  std::span<SweepRecord> records) {
+  Failure failure;
+  std::atomic<std::uint64_t> journaled{0};
+  const auto body = [&](std::size_t lo, std::size_t hi) {
+    journaled.fetch_add(run_range(begin + lo, begin + hi, records, failure),
+                        std::memory_order_relaxed);
+  };
+  try {
+    if (pool != nullptr)
+      pool->parallel_for_ranges(end - begin, body, options_.cancel);
+    else
+      body(0, end - begin);
+  } catch (...) {
+    failure.record();  // a range-level error (decode, journal I/O)
+  }
+  // A failed run must not lose the points that did complete: make the
+  // journal tail durable before the error reaches the caller.
+  if (options_.journal != nullptr) options_.journal->sync();
+  if (failure.first) std::rethrow_exception(failure.first);
+  return journaled.load(std::memory_order_relaxed);
+}
+
 std::uint64_t BatchEvaluator::run_range(std::size_t begin, std::size_t end,
                                         std::span<SweepRecord> records,
-                                        bool fail_fast,
-                                        std::mutex* error_mutex,
-                                        std::exception_ptr* first_error) {
+                                        Failure& failure) {
   Scratch& sc = scratch();
   std::uint64_t journaled = 0;
   for (std::size_t b = begin; b < end; b += kBatch) {
     if (options_.cancel != nullptr && options_.cancel->cancelled()) break;
     const std::size_t e = std::min(end, b + kBatch);
-    journaled +=
-        run_subbatch(b, e, records, fail_fast, error_mutex, first_error, sc);
+    journaled += run_subbatch(b, e, records, failure, sc);
   }
   return journaled;
 }
 
 std::uint64_t BatchEvaluator::run_subbatch(std::size_t begin, std::size_t end,
                                            std::span<SweepRecord> records,
-                                           bool fail_fast,
-                                           std::mutex* error_mutex,
-                                           std::exception_ptr* first_error,
-                                           Scratch& sc) {
+                                           Failure& failure, Scratch& sc) {
   const std::size_t m = end - begin;
   cfg_->grid.decode_chunk(begin, end,
                           std::span<double>(sc.soa.data(), naxes_ * m));
@@ -244,7 +186,6 @@ std::uint64_t BatchEvaluator::run_subbatch(std::size_t begin, std::size_t end,
   sc.cps.clear();
   sc.cp_slot = -1;
 
-  std::exception_ptr failure;  // fail_fast: pending rethrow after journaling
   for (std::size_t i = 0; i < m; ++i) {
     const std::size_t idx = begin + i;
     if (options_.cancel != nullptr && options_.cancel->cancelled()) break;
@@ -255,17 +196,9 @@ std::uint64_t BatchEvaluator::run_subbatch(std::size_t begin, std::size_t end,
       evaluate_one(idx, i, m, rec, sc);
       sc.evaluated[i] = 1;
     } catch (...) {
-      // A failed point leaves the same default record the scalar path left
-      // (it assigned the record only on successful return).
+      // A failed point leaves the default record; the run goes on.
       rec = SweepRecord{};
-      if (fail_fast) {
-        failure = std::current_exception();
-        break;
-      }
-      if (error_mutex != nullptr && first_error != nullptr) {
-        const std::lock_guard<std::mutex> lock(*error_mutex);
-        if (!*first_error) *first_error = std::current_exception();
-      }
+      failure.record();
     }
   }
 
@@ -281,7 +214,6 @@ std::uint64_t BatchEvaluator::run_subbatch(std::size_t begin, std::size_t end,
       ++journaled;
     }
   }
-  if (failure) std::rethrow_exception(failure);
   return journaled;
 }
 

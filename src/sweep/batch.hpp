@@ -1,7 +1,8 @@
 #pragma once
 /// \file batch.hpp
-/// \brief The structure-of-arrays batch evaluator behind `run_sweep` — the
-///        sweep hot path for streaming million-point grids.
+/// \brief The structure-of-arrays batch evaluator behind every grid
+///        evaluation (sweep, search, serve) — the hot path for streaming
+///        million-point grids.
 ///
 /// The scalar path paid, per grid point: one `grid.point()` allocation,
 /// eight axis-name lookups, a full `MachineModel` copy + `validate()`, four
@@ -30,46 +31,34 @@
 ///    per-point data).
 ///
 /// Bit-identity with the scalar reference is the contract, not an
-/// aspiration: `evaluate_point_reference` keeps the original scalar
-/// pipeline alive, the equivalence tests compare every record of real grids
-/// against it, and CI's sweep gate still `cmp`s artifacts against
-/// `sweeps/baseline.json` at several pool widths. PR 5's durability
-/// semantics survive per-index: resume-completed points are skipped, the
-/// fault-injection site and deadline watchdog fire per index, every
-/// completed point reaches the journal, and cancellation is honored between
-/// points.
+/// aspiration: the tests keep the original scalar pipeline alive as an
+/// oracle and compare every record of real grids against it, and CI's sweep
+/// gate still `cmp`s artifacts against `sweeps/baseline.json` at several
+/// pool widths. Durability semantics survive per-index: resume-completed
+/// points are skipped, the fault-injection site and deadline watchdog fire
+/// per index, every completed point reaches the journal, and cancellation
+/// is honored between points.
 
 #include "core/metrics.hpp"
 #include "sweep/cache.hpp"
+#include "sweep/pool.hpp"
 #include "sweep/sweep.hpp"
 
 #include <cstddef>
 #include <cstdint>
-#include <exception>
-#include <mutex>
 #include <span>
 
 namespace stamp::sweep {
 
-/// The original scalar selection for one point: strong-scale the profile
-/// over candidate process counts, place each candidate through the core
-/// `place_*` API, keep the best under the objective (feasible preferred).
-/// Kept as the reference implementation the batch path is tested against.
-[[nodiscard]] PointCost compute_point_cost_reference(const PointSetup& s,
-                                                     Objective objective);
-
-/// The original scalar evaluation of one grid point, cache-free: decode,
-/// setup, select, price the classical baselines. The batch evaluator must
-/// reproduce this record bit-for-bit for every index of every grid — the
-/// equivalence tests enforce it.
-[[nodiscard]] SweepRecord evaluate_point_reference(const SweepConfig& cfg,
-                                                   std::size_t index);
+/// `CostCache` shard count for an evaluation on `pool` (nullptr = the
+/// calling thread alone): enough shards that workers rarely share a lock.
+[[nodiscard]] std::size_t cache_shards(const Pool* pool) noexcept;
 
 /// Evaluates contiguous grid-index ranges into a pre-sized record array.
 /// One instance serves all workers of a sweep: per-thread scratch (SoA
 /// buffers, placement tables, the machine-group cache) lives in
 /// thread-local storage keyed to the evaluator instance, so concurrent
-/// `run_range` calls never share mutable state.
+/// workers never share mutable state.
 class BatchEvaluator {
  public:
   /// Points decoded and staged per sub-batch. Large enough to amortize the
@@ -79,37 +68,38 @@ class BatchEvaluator {
 
   /// `cfg`, `cache`, and everything `options` points at must outlive the
   /// evaluator. `record_offset` rebases the record array: grid index `i`
-  /// lands in `records[i - record_offset]`. The sweep drivers pass 0 with a
+  /// lands in `records[i - record_offset]`. The sweep passes 0 with a
   /// full-grid array; the guided search prices contiguous leaf windows into
   /// block-local buffers by offsetting at the window's first index.
   BatchEvaluator(const SweepConfig& cfg, CostCache& cache,
                  const SweepOptions& options, std::size_t record_offset = 0);
 
   /// Evaluate grid indices [begin, end) into `records` (indexed by grid
-  /// index minus the constructor's `record_offset`).
-  /// Resume-completed points are skipped; cancellation is checked
-  /// per point; each completed point is appended to the journal (in index
-  /// order within the range). Returns the number of points journaled.
+  /// index minus the constructor's `record_offset`) — on `pool`'s workers,
+  /// or inline on the calling thread when `pool` is nullptr. Records are
+  /// keyed by index, so the result is identical either way.
+  /// Resume-completed points are skipped; cancellation is checked per point;
+  /// each completed point is appended to the journal (in index order within
+  /// a claimed range). Returns the number of points journaled.
   ///
-  /// Error policy: with `fail_fast` (the serial driver), the first failing
-  /// point finishes and journals every point evaluated before it, then
-  /// rethrows — exactly the scalar serial semantics. Without it (pool
-  /// workers), a failing point is recorded into `*first_error` (under
-  /// `*error_mutex`) and every other point still runs, matching the pool's
-  /// drain-then-rethrow contract; the driver rethrows after the loop.
-  std::uint64_t run_range(std::size_t begin, std::size_t end,
-                          std::span<SweepRecord> records, bool fail_fast,
-                          std::mutex* error_mutex,
-                          std::exception_ptr* first_error);
+  /// Error policy: a failing point leaves a default record and every other
+  /// point still runs (and reaches the journal); after the drain the journal
+  /// is synced and the first failure is rethrown. The set of journaled
+  /// points therefore never depends on the pool, which is what makes
+  /// kill-and-resume deterministic.
+  std::uint64_t run(Pool* pool, std::size_t begin, std::size_t end,
+                    std::span<SweepRecord> records);
 
  private:
   struct Scratch;
+  struct Failure;
 
   [[nodiscard]] Scratch& scratch() const;
+  std::uint64_t run_range(std::size_t begin, std::size_t end,
+                          std::span<SweepRecord> records, Failure& failure);
   std::uint64_t run_subbatch(std::size_t begin, std::size_t end,
-                             std::span<SweepRecord> records, bool fail_fast,
-                             std::mutex* error_mutex,
-                             std::exception_ptr* first_error, Scratch& sc);
+                             std::span<SweepRecord> records, Failure& failure,
+                             Scratch& sc);
   void evaluate_one(std::size_t index, std::size_t slot, std::size_t count,
                     SweepRecord& rec, Scratch& sc);
   void setup_current(const SweepRecord& rec, Scratch& sc) const;

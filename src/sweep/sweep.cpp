@@ -7,20 +7,11 @@
 #include "sweep/journal.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <exception>
 #include <limits>
-#include <mutex>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
-
-// The plain run_sweep* overloads delegate to the options-taking ones; that
-// internal call must stay quiet under -DSTAMP_WARN_DEPRECATED=ON.
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
 
 namespace stamp::sweep {
 namespace {
@@ -132,21 +123,6 @@ void seed_from_resume(SweepResult& out, CostCache& cache,
         .add(out.stats.resumed_points);
 }
 
-/// Shared post-loop bookkeeping: make journaled records durable, count the
-/// points cancellation left unevaluated, and stamp the cancelled flag.
-void finish_run(SweepResult& out, const SweepOptions& opts,
-                std::uint64_t journaled) {
-  out.stats.journaled_points = journaled;
-  if (opts.journal != nullptr) opts.journal->sync();
-  out.cancelled = opts.cancel != nullptr && opts.cancel->cancelled();
-  if (out.cancelled) {
-    // An evaluated record always selects >= 1 process; a skipped one keeps
-    // the default 0, so the two are distinguishable without extra state.
-    for (const SweepRecord& rec : out.records)
-      if (rec.processes == 0) ++out.stats.skipped_points;
-  }
-}
-
 }  // namespace
 
 std::string_view to_string(PlacementStrategy s) noexcept {
@@ -216,91 +192,32 @@ SweepConfig SweepConfig::large() {
   return c;
 }
 
-SweepResult run_sweep_serial(const SweepConfig& cfg) {
-  return run_sweep_serial(cfg, SweepOptions{});
-}
-
-SweepResult run_sweep_serial(const SweepConfig& cfg,
-                             const SweepOptions& options) {
-  obs::ScopedSpan span = obs::ScopedSpan::if_enabled("sweep.run", "sweep");
-  span.arg("points", static_cast<double>(cfg.grid.size()));
-  SweepResult out = make_result_shell(cfg);
-  CostCache cache(16, cfg.cache_entries_per_shard);
-  if (options.resume != nullptr)
-    seed_from_resume(out, cache, *options.resume);
-  BatchEvaluator evaluator(cfg, cache, options);
-  std::uint64_t journaled = 0;
-  try {
-    journaled = evaluator.run_range(0, out.records.size(), out.records,
-                                    /*fail_fast=*/true, nullptr, nullptr);
-  } catch (...) {
-    // A failed sweep must not lose the points that did complete: make the
-    // journal tail durable before the error reaches the caller.
-    if (options.journal != nullptr) options.journal->sync();
-    throw;
-  }
-  out.stats.cache_hits = cache.hits();
-  out.stats.cache_misses = cache.misses();
-  out.stats.cache_evictions = cache.evictions();
-  finish_run(out, options, journaled);
-  return out;
-}
-
-SweepResult run_sweep(const SweepConfig& cfg, Pool& pool) {
-  return run_sweep(cfg, pool, SweepOptions{});
-}
-
-SweepResult run_sweep(const SweepConfig& cfg, Pool& pool,
+SweepResult run_sweep(const SweepConfig& cfg, Pool* pool,
                       const SweepOptions& options) {
   obs::ScopedSpan span = obs::ScopedSpan::if_enabled("sweep.run", "sweep");
   span.arg("points", static_cast<double>(cfg.grid.size()));
-  span.arg("threads", static_cast<double>(pool.threads()));
+  span.arg("threads", pool != nullptr ? pool->threads() : 1.0);
   SweepResult out = make_result_shell(cfg);
-  CostCache cache(static_cast<std::size_t>(pool.threads()) * 8,
-                  cfg.cache_entries_per_shard);
+  CostCache cache(cache_shards(pool), cfg.cache_entries_per_shard);
   if (options.resume != nullptr)
     seed_from_resume(out, cache, *options.resume);
-  const std::uint64_t steals_before = pool.steals();
-  BatchEvaluator evaluator(cfg, cache, options);
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
-  std::atomic<std::uint64_t> journaled{0};
+  const std::uint64_t steals_before = pool != nullptr ? pool->steals() : 0;
   // Records are written by grid index into a pre-sized vector, so completion
-  // order (which is scheduling-dependent) never shows in the output. On a
-  // point failure every other point still runs (and reaches the journal)
-  // before the first error is rethrown — that drain-then-fail order is what
-  // makes kill-and-resume deterministic.
-  try {
-    pool.parallel_for_ranges(
-        out.records.size(),
-        [&](std::size_t begin, std::size_t end) {
-          journaled.fetch_add(
-              evaluator.run_range(begin, end, out.records,
-                                  /*fail_fast=*/false, &error_mutex,
-                                  &first_error),
-              std::memory_order_relaxed);
-        },
-        options.cancel);
-  } catch (...) {
-    if (options.journal != nullptr) options.journal->sync();
-    throw;
-  }
-  {
-    std::exception_ptr err;
-    {
-      const std::lock_guard<std::mutex> lock(error_mutex);
-      err = first_error;
-    }
-    if (err) {
-      if (options.journal != nullptr) options.journal->sync();
-      std::rethrow_exception(err);
-    }
-  }
+  // order (which is scheduling-dependent) never shows in the output.
+  BatchEvaluator evaluator(cfg, cache, options);
+  out.stats.journaled_points =
+      evaluator.run(pool, 0, out.records.size(), out.records);
   out.stats.cache_hits = cache.hits();
   out.stats.cache_misses = cache.misses();
   out.stats.cache_evictions = cache.evictions();
-  out.stats.pool_steals = pool.steals() - steals_before;
-  finish_run(out, options, journaled.load(std::memory_order_relaxed));
+  if (pool != nullptr) out.stats.pool_steals = pool->steals() - steals_before;
+  out.cancelled = options.cancel != nullptr && options.cancel->cancelled();
+  if (out.cancelled) {
+    // An evaluated record always selects >= 1 process; a skipped one keeps
+    // the default 0, so the two are distinguishable without extra state.
+    for (const SweepRecord& rec : out.records)
+      if (rec.processes == 0) ++out.stats.skipped_points;
+  }
   return out;
 }
 

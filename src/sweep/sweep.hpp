@@ -2,8 +2,8 @@
 /// \file sweep.hpp
 /// \brief The parameter-sweep engine: evaluate the STAMP cost model (and the
 ///        classical baselines) over a Cartesian grid of machine parameters
-///        and thread placements, serially or on a work-stealing pool, with
-///        deterministic, gate-able JSON artifacts.
+///        and thread placements, on the calling thread or a work-stealing
+///        pool, with deterministic, gate-able JSON artifacts.
 ///
 /// Each grid point describes one machine configuration (cores, hardware
 /// threads per core, inter-processor ℓ / L / g), one workload serialization
@@ -24,7 +24,6 @@
 /// the records themselves).
 
 #include "core/cancel.hpp"
-#include "core/compat.hpp"
 #include "core/metrics.hpp"
 #include "core/params.hpp"
 #include "core/placement.hpp"
@@ -170,9 +169,7 @@ struct SweepResult {
 class Journal;      // journal.hpp
 class ResumeState;  // journal.hpp
 
-/// Durability and lifecycle knobs for a sweep run. All default to "off", in
-/// which state `run_sweep(cfg, pool, {})` behaves exactly like the plain
-/// overload.
+/// Durability and lifecycle knobs for a sweep run. All default to "off".
 struct SweepOptions {
   /// Cooperative cancellation: checked per grid point (and per claimed pool
   /// batch). In-flight points finish and are journaled; unstarted points are
@@ -192,33 +189,20 @@ struct SweepOptions {
   /// plumbing as fault::RetryPolicy.
   std::chrono::nanoseconds point_deadline{0};
   /// Worker threads `Evaluator::sweep` (api/evaluator.hpp) evaluates with:
-  /// <= 1 runs serially, > 1 uses the evaluator's cached pool. The engine
-  /// entry points below ignore this field — `run_sweep(cfg, pool, options)`
-  /// parallelizes over the pool it is handed.
+  /// <= 1 runs on the calling thread, > 1 uses the evaluator's cached pool.
+  /// `run_sweep` ignores this field; it runs on the pool it is handed.
   int threads = 1;
 };
 
-/// Evaluate every grid point on the calling thread (reference path; also what
-/// `bench_sweep` compares the pool against).
-STAMP_DEPRECATED("use stamp::Evaluator::sweep (api/stamp.hpp)")
-[[nodiscard]] SweepResult run_sweep_serial(const SweepConfig& cfg);
-
-/// Serial run with durability options (journal, resume, cancellation,
-/// per-point deadline).
-STAMP_DEPRECATED("use stamp::Evaluator::sweep (api/stamp.hpp)")
-[[nodiscard]] SweepResult run_sweep_serial(const SweepConfig& cfg,
-                                           const SweepOptions& options);
-
-/// Evaluate on `pool`. Output is identical (including byte-identical JSON)
-/// to the serial run for any pool width.
-STAMP_DEPRECATED("use stamp::Evaluator::sweep (api/stamp.hpp)")
-[[nodiscard]] SweepResult run_sweep(const SweepConfig& cfg, Pool& pool);
-
-/// Pooled run with durability options. A resumed-and-completed sweep yields
-/// an artifact byte-identical to an uninterrupted run at any pool width.
-STAMP_DEPRECATED("use stamp::Evaluator::sweep (api/stamp.hpp)")
-[[nodiscard]] SweepResult run_sweep(const SweepConfig& cfg, Pool& pool,
-                                    const SweepOptions& options);
+/// Evaluate every grid point on `pool`, or on the calling thread when `pool`
+/// is nullptr — the engine layer under `Evaluator::sweep`. Output is
+/// identical (including byte-identical JSON) for every pool width and
+/// without one, and a resumed-and-completed sweep yields an artifact
+/// byte-identical to an uninterrupted run. A failing point does not stop the
+/// sweep: every other point is evaluated and journaled, then the first
+/// failure is rethrown (see `BatchEvaluator::run`).
+[[nodiscard]] SweepResult run_sweep(const SweepConfig& cfg, Pool* pool,
+                                    const SweepOptions& options = {});
 
 /// Serialize in the stable `stamp-sweep/v1` schema: fixed key order, records
 /// sorted by grid index, numbers via JsonWriter's canonical formatting.

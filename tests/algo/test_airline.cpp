@@ -2,14 +2,6 @@
 
 #include <gtest/gtest.h>
 
-// run_distributed is deprecated in favor of Evaluator::run; this file drives
-// the layer under test through the executor directly on purpose (it sits
-// below the facade).
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-
-
 namespace stamp::algo {
 namespace {
 

@@ -2,13 +2,7 @@
 
 #include <gtest/gtest.h>
 
-// run_distributed is deprecated in favor of Evaluator::run; this file drives
-// the layer under test through the executor directly on purpose (it sits
-// below the facade).
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-
+#include <string>
 
 namespace stamp::algo {
 namespace {
@@ -138,8 +132,10 @@ TEST(TransferWorkload, ValidatesArguments) {
 }
 
 // Conservation must hold under every contention manager and distribution.
+// The manager is a std::string, not a const char*, so each case's name
+// prints its text rather than an address that changes from run to run.
 class TransferSweep
-    : public ::testing::TestWithParam<std::tuple<const char*, Distribution>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, Distribution>> {};
 
 TEST_P(TransferSweep, MoneyConserved) {
   const auto [manager, dist] = GetParam();
@@ -156,7 +152,10 @@ TEST_P(TransferSweep, MoneyConserved) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, TransferSweep,
-    ::testing::Combine(::testing::Values("passive", "polite", "backoff", "karma"),
+    ::testing::Combine(::testing::Values(std::string("passive"),
+                                         std::string("polite"),
+                                         std::string("backoff"),
+                                         std::string("karma")),
                        ::testing::Values(Distribution::IntraProc,
                                          Distribution::InterProc)));
 

@@ -5,12 +5,6 @@
 #include <set>
 #include <string>
 
-// The facade delegates to the deprecated entry points it replaces; comparing
-// against them directly is the point of these tests.
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-
 namespace stamp {
 namespace {
 
@@ -90,21 +84,26 @@ TEST(Evaluator, SweepMatchesEngineAndThreadCountIsInvisible) {
   const std::string serial = sweep::to_json(eval.sweep(cfg));
   const std::string threaded =
       sweep::to_json(eval.sweep(cfg, sweep::SweepOptions{.threads = 4}));
-  const std::string engine = sweep::to_json(sweep::run_sweep_serial(cfg));
+  const std::string engine = sweep::to_json(sweep::run_sweep(cfg, nullptr));
   EXPECT_EQ(serial, engine);
   EXPECT_EQ(serial, threaded);
 }
 
-TEST(Evaluator, DeprecatedSweepShimsMatchTheUnifiedSignature) {
-  // The pre-unification overloads (threads as a bare argument) must keep
-  // producing the identical artifact until their scheduled removal.
+TEST(Evaluator, SerialSweepRunsWithoutAPoolLoop) {
+  // threads <= 1 evaluates on the calling thread: after a pooled sweep has
+  // cached a pool, a serial sweep must leave it alone and run no pool loop.
   const Evaluator eval;
   const sweep::SweepConfig cfg = sweep::SweepConfig::tiny();
-  const std::string unified =
+  Evaluator::set_metrics(true);
+  obs::Counter& loops = Evaluator::metrics_registry().counter("pool.loops");
+  const std::string pooled =
       sweep::to_json(eval.sweep(cfg, sweep::SweepOptions{.threads = 2}));
-  EXPECT_EQ(sweep::to_json(eval.sweep(cfg, 2)), unified);
-  EXPECT_EQ(sweep::to_json(eval.sweep(cfg, 2, sweep::SweepOptions{})),
-            unified);
+  const std::uint64_t loops_after_pooled = loops.value();
+  const std::string serial =
+      sweep::to_json(eval.sweep(cfg, sweep::SweepOptions{.threads = 1}));
+  EXPECT_EQ(loops.value(), loops_after_pooled);
+  Evaluator::set_metrics(false);
+  EXPECT_EQ(serial, pooled);
 }
 
 TEST(Evaluator, TracingDoesNotPerturbTheSweepArtifact) {

@@ -125,16 +125,26 @@ TEST(Params, TopologyPrintsNodesOnlyWhenClustered) {
   EXPECT_NE(cluster.str().find("4 node(s)"), std::string::npos);
 }
 
-class PresetTest : public ::testing::TestWithParam<MachineModel (*)()> {};
+// A preset and its name; each case is named by PrintTo, so the name is the
+// preset's rather than the function's address, which changes from run to run.
+struct Preset {
+  const char* name;
+  MachineModel (*make)();
+};
+
+void PrintTo(const Preset& preset, std::ostream* os) { *os << preset.name; }
+
+class PresetTest : public ::testing::TestWithParam<Preset> {};
 
 TEST_P(PresetTest, PresetIsValid) {
-  const MachineModel m = GetParam()();
+  const MachineModel m = GetParam().make();
+  EXPECT_EQ(m.name, GetParam().name);
   EXPECT_NO_THROW(m.validate());
   EXPECT_FALSE(m.name.empty());
 }
 
 TEST_P(PresetTest, PresetHasIntraAdvantage) {
-  const MachineModel m = GetParam()();
+  const MachineModel m = GetParam().make();
   EXPECT_LT(m.params.ell_a, m.params.ell_e);
   EXPECT_LT(m.params.L_a, m.params.L_e);
   EXPECT_LT(m.params.g_sh_a, m.params.g_sh_e);
@@ -143,13 +153,16 @@ TEST_P(PresetTest, PresetHasIntraAdvantage) {
 
 TEST_P(PresetTest, StreamingWorks) {
   std::ostringstream os;
-  os << GetParam()();
+  os << GetParam().make();
   EXPECT_FALSE(os.str().empty());
 }
 
-INSTANTIATE_TEST_SUITE_P(AllPresets, PresetTest,
-                         ::testing::Values(&presets::niagara, &presets::desktop,
-                                           &presets::embedded, &presets::server));
+INSTANTIATE_TEST_SUITE_P(
+    AllPresets, PresetTest,
+    ::testing::Values(Preset{"niagara", &presets::niagara},
+                      Preset{"desktop", &presets::desktop},
+                      Preset{"embedded", &presets::embedded},
+                      Preset{"server", &presets::server}));
 
 TEST(Presets, NiagaraMatchesFigure1) {
   const MachineModel m = presets::niagara();

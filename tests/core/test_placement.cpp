@@ -2,12 +2,6 @@
 
 #include <gtest/gtest.h>
 
-// place_best is deprecated in favor of Evaluator::best_placement; this file
-// tests the strategy layer directly (including the shim) on purpose.
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-
 namespace stamp {
 namespace {
 

@@ -5,12 +5,6 @@
 #include <atomic>
 #include <stdexcept>
 
-// run_distributed is deprecated in favor of Evaluator::run; this file tests
-// the executor layer directly (including the shim) on purpose.
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-
 namespace stamp::runtime {
 namespace {
 

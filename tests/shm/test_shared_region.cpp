@@ -4,14 +4,6 @@
 
 #include <atomic>
 
-// run_distributed is deprecated in favor of Evaluator::run; this file drives
-// the layer under test through the executor directly on purpose (it sits
-// below the facade).
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-
-
 namespace stamp::shm {
 namespace {
 

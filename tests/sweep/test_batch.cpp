@@ -2,29 +2,24 @@
 // path (batch.hpp): every record of every grid, at every pool width, through
 // journal and resume. These tests compare real sweeps — the canonical
 // 576-point baseline grid included — record by record and byte by byte
-// against `evaluate_point_reference`, which keeps the original scalar
-// pipeline alive precisely so this comparison stays honest.
+// against `evaluate_point_reference`, the oracle below, which keeps the
+// original scalar pipeline alive precisely so this comparison stays honest.
 
 #include "sweep/batch.hpp"
 
+#include "core/placement.hpp"
+#include "models/models.hpp"
 #include "sweep/journal.hpp"
 #include "sweep/sweep.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
-
-// run_sweep/run_sweep_serial are deprecated in favor of Evaluator::sweep;
-// this file exercises the sweep engine directly on purpose (it is the layer
-// under test/measurement, below the facade).
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-
 
 namespace stamp::sweep {
 namespace {
@@ -40,6 +35,101 @@ void write_bytes(const std::string& path, const std::string& bytes) {
   os << bytes;
 }
 
+// ---------------------------------------------------------------------------
+// The oracle: the scalar pre-batch pipeline, kept verbatim.
+// ---------------------------------------------------------------------------
+
+struct ReferenceScratch {
+  std::vector<ProcessProfile> profiles;
+  std::vector<int> candidates;
+};
+
+ReferenceScratch& reference_scratch() {
+  thread_local ReferenceScratch scratch;
+  return scratch;
+}
+
+PointCost reference_placement_cost(const PointSetup& s, int n,
+                                   Objective objective,
+                                   std::vector<ProcessProfile>& profiles) {
+  profiles.assign(static_cast<std::size_t>(n), strong_scaled(s.profile, n));
+  PlacementResult r;
+  switch (s.strategy) {
+    case PlacementStrategy::FillFirst:
+      r = place_fill_first(profiles, s.machine, objective);
+      break;
+    case PlacementStrategy::RoundRobin:
+      r = place_round_robin(profiles, s.machine, objective);
+      break;
+    case PlacementStrategy::Greedy:
+      r = place_greedy(profiles, s.machine, objective);
+      break;
+  }
+  return PointCost{r.eval.total, r.eval.feasible, n};
+}
+
+/// The original scalar selection for one point: strong-scale the profile
+/// over candidate process counts, place each candidate through the core
+/// `place_*` API, keep the best under the objective (feasible preferred).
+PointCost compute_point_cost_reference(const PointSetup& s,
+                                       Objective objective) {
+  const int limit = std::max(1, std::min(s.processes,
+                                         s.machine.topology.total_threads()));
+  ReferenceScratch& scratch = reference_scratch();
+  scratch.candidates.clear();
+  for (int n = 1; n < limit; n *= 2) scratch.candidates.push_back(n);
+  scratch.candidates.push_back(limit);
+
+  PointCost best{};
+  bool have = false;
+  for (const int n : scratch.candidates) {
+    const PointCost c =
+        reference_placement_cost(s, n, objective, scratch.profiles);
+    const bool better_feasibility = c.feasible && !best.feasible;
+    const bool same_feasibility = c.feasible == best.feasible;
+    if (!have || better_feasibility ||
+        (same_feasibility && metric_value(c.cost, objective) <
+                                 metric_value(best.cost, objective))) {
+      best = c;
+      have = true;
+    }
+  }
+  return best;
+}
+
+/// The original scalar evaluation of one grid point, cache-free: decode,
+/// setup, select, price the classical baselines. The batch evaluator must
+/// reproduce this record bit-for-bit for every index of every grid.
+SweepRecord evaluate_point_reference(const SweepConfig& cfg,
+                                     std::size_t index) {
+  SweepRecord rec;
+  rec.index = index;
+  rec.params = cfg.grid.point(index);
+  const PointSetup s = setup_point(cfg, rec.params);
+  const PointCost pc = compute_point_cost_reference(s, cfg.objective);
+  rec.feasible = pc.feasible;
+  rec.processes = pc.processes;
+  rec.metrics.D = metric_value(pc.cost, Objective::D);
+  rec.metrics.PDP = metric_value(pc.cost, Objective::PDP);
+  rec.metrics.EDP = metric_value(pc.cost, Objective::EDP);
+  rec.metrics.ED2P = metric_value(pc.cost, Objective::ED2P);
+
+  const ProcessProfile per_process = strong_scaled(s.profile, rec.processes);
+  models::RoundSpec rs;
+  rs.local_ops = per_process.c_fp + per_process.c_int;
+  rs.msgs_out = per_process.m_s;
+  rs.msgs_in = per_process.m_r;
+  rs.shm_reads = per_process.d_r;
+  rs.shm_writes = per_process.d_w;
+  rs.max_location_accesses = per_process.kappa;
+  const models::ClassicalParams cp =
+      models::classical_from_machine(s.machine.params);
+  for (int k = 0; k < models::kModelKindCount; ++k)
+    rec.classical[static_cast<std::size_t>(k)] =
+        models::round_time(static_cast<models::ModelKind>(k), rs, cp);
+  return rec;
+}
+
 TEST(Batch, ReferencePathIsDeterministic) {
   const SweepConfig cfg = SweepConfig::tiny();
   for (std::size_t i = 0; i < cfg.grid.size(); ++i)
@@ -52,7 +142,7 @@ TEST(Batch, ReferencePathIsDeterministic) {
 // grid CI `cmp`s against sweeps/baseline.json).
 TEST(Batch, MatchesScalarReferenceOnEveryCanonicalPoint) {
   const SweepConfig cfg = SweepConfig::canonical();
-  const SweepResult r = run_sweep_serial(cfg);
+  const SweepResult r = run_sweep(cfg, nullptr);
   ASSERT_EQ(r.records.size(), cfg.grid.size());
   for (std::size_t i = 0; i < cfg.grid.size(); ++i)
     EXPECT_EQ(r.records[i], evaluate_point_reference(cfg, i)) << "index " << i;
@@ -62,7 +152,7 @@ TEST(Batch, MatchesScalarReferenceAcrossPoolWidths) {
   const SweepConfig cfg = SweepConfig::tiny();
   for (const int width : {1, 4, 16}) {
     Pool pool(width);
-    const SweepResult r = run_sweep(cfg, pool);
+    const SweepResult r = run_sweep(cfg, &pool);
     ASSERT_EQ(r.records.size(), cfg.grid.size());
     for (std::size_t i = 0; i < cfg.grid.size(); ++i)
       EXPECT_EQ(r.records[i], evaluate_point_reference(cfg, i))
@@ -80,7 +170,7 @@ TEST(Batch, RaggedSubBatchBoundariesMatchTheReference) {
       .axis(std::string(axes::kEllE), linspace(8, 40, 0x80 + 1))
       .axis(std::string(axes::kKappa), {0});
   ASSERT_EQ(cfg.grid.size(), 4u * 129u);  // 516 = 2*256 + 4: ragged tail
-  const SweepResult r = run_sweep_serial(cfg);
+  const SweepResult r = run_sweep(cfg, nullptr);
   for (const std::size_t i :
        {std::size_t{0}, BatchEvaluator::kBatch - 1, BatchEvaluator::kBatch,
         2 * BatchEvaluator::kBatch - 1, 2 * BatchEvaluator::kBatch,
@@ -98,7 +188,7 @@ TEST(Batch, DuplicateAxisValuesHitTheCacheWithoutChangingRecords) {
   cfg.grid = ParamGrid{};
   cfg.grid.axis(std::string(axes::kCores), {4, 4})
       .axis(std::string(axes::kKappa), {0, 8});
-  const SweepResult r = run_sweep_serial(cfg);
+  const SweepResult r = run_sweep(cfg, nullptr);
   const auto points = static_cast<std::uint64_t>(cfg.grid.size());
   EXPECT_EQ(r.stats.cache_hits + r.stats.cache_misses, points);
   EXPECT_EQ(r.stats.cache_misses, 2u);  // two distinct tuples
@@ -114,14 +204,13 @@ TEST(Batch, DuplicateAxisValuesHitTheCacheWithoutChangingRecords) {
 // sweeps/baseline.json.
 TEST(Batch, CacheOptionsDefaultsLeaveSweepRecordsBitIdentical) {
   const SweepConfig cfg = SweepConfig::tiny();
-  const SweepResult classic = run_sweep_serial(cfg);
+  const SweepResult classic = run_sweep(cfg, nullptr);
 
   CostCache cache{CacheOptions{}};
   std::vector<SweepRecord> records(cfg.grid.size());
   const SweepOptions options;
   BatchEvaluator evaluator(cfg, cache, options);
-  (void)evaluator.run_range(0, cfg.grid.size(), records, /*fail_fast=*/true,
-                            nullptr, nullptr);
+  (void)evaluator.run(nullptr, 0, cfg.grid.size(), records);
   ASSERT_EQ(records.size(), classic.records.size());
   for (std::size_t i = 0; i < records.size(); ++i)
     EXPECT_EQ(records[i], classic.records[i]) << "index " << i;
@@ -135,7 +224,7 @@ TEST(Batch, CacheOptionsDefaultsLeaveSweepRecordsBitIdentical) {
 // uninterrupted run's.
 TEST(Batch, ResumedRunsAreByteIdenticalAtEveryWidth) {
   const SweepConfig cfg = SweepConfig::tiny();
-  const SweepResult full = run_sweep_serial(cfg);
+  const SweepResult full = run_sweep(cfg, nullptr);
   const std::string want = to_json(full);
 
   std::string journal_bytes{Journal::header_line(cfg)};
@@ -151,12 +240,12 @@ TEST(Batch, ResumedRunsAreByteIdenticalAtEveryWidth) {
 
   SweepOptions options;
   options.resume = &resume;
-  const SweepResult serial = run_sweep_serial(cfg, options);
+  const SweepResult serial = run_sweep(cfg, nullptr, options);
   EXPECT_EQ(serial.stats.resumed_points, journaled);
   EXPECT_EQ(to_json(serial), want);
   for (const int width : {1, 4, 16}) {
     Pool pool(width);
-    const SweepResult pooled = run_sweep(cfg, pool, options);
+    const SweepResult pooled = run_sweep(cfg, &pool, options);
     EXPECT_EQ(pooled.stats.resumed_points, journaled);
     EXPECT_EQ(to_json(pooled), want) << "width " << width;
   }
@@ -173,7 +262,7 @@ TEST(Batch, SerialJournalHoldsEveryRecordInIndexOrder) {
     Journal journal(path, cfg);
     SweepOptions options;
     options.journal = &journal;
-    result = run_sweep_serial(cfg, options);
+    result = run_sweep(cfg, nullptr, options);
     EXPECT_EQ(journal.appended(), cfg.grid.size());
   }
   EXPECT_EQ(result.stats.journaled_points, cfg.grid.size());

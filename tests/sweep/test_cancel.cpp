@@ -14,14 +14,6 @@
 #include <string>
 #include <thread>
 
-// run_sweep/run_sweep_serial are deprecated in favor of Evaluator::sweep;
-// this file exercises the sweep engine directly on purpose (it is the layer
-// under test/measurement, below the facade).
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-
-
 namespace stamp::sweep {
 namespace {
 
@@ -105,7 +97,7 @@ TEST(SweepCancel, PreCancelledSweepSkipsEverythingAndJournalsNothing) {
     SweepOptions opts;
     opts.cancel = &token;
     opts.journal = &journal;
-    result = run_sweep_serial(cfg, opts);
+    result = run_sweep(cfg, nullptr, opts);
   }
   EXPECT_TRUE(result.cancelled);
   EXPECT_EQ(result.records.size(), cfg.grid.size());
@@ -124,7 +116,7 @@ TEST(SweepCancel, PreCancelledSweepSkipsEverythingAndJournalsNothing) {
 TEST(SweepCancel, AsyncCancelJournalsExactlyTheCompletedPoints) {
   const SweepConfig cfg = SweepConfig::canonical();
   Pool pool(4);
-  const std::string want = to_json(run_sweep(cfg, pool));
+  const std::string want = to_json(run_sweep(cfg, &pool));
   const std::string path = temp_path("cancel_async.journal");
   fs::remove(path);
 
@@ -139,7 +131,7 @@ TEST(SweepCancel, AsyncCancelJournalsExactlyTheCompletedPoints) {
       std::this_thread::sleep_for(std::chrono::microseconds(300));
       token.request_cancel();
     });
-    result = run_sweep(cfg, pool, opts);
+    result = run_sweep(cfg, &pool, opts);
     tripper.join();
   }
 
@@ -156,7 +148,7 @@ TEST(SweepCancel, AsyncCancelJournalsExactlyTheCompletedPoints) {
 
   SweepOptions opts;
   opts.resume = &resume;
-  EXPECT_EQ(to_json(run_sweep(cfg, pool, opts)), want);
+  EXPECT_EQ(to_json(run_sweep(cfg, &pool, opts)), want);
   fs::remove(path);
 }
 
@@ -165,7 +157,7 @@ TEST(SweepCancel, TokenTrippedAfterCompletionLeavesResultClean) {
   core::CancelToken token;
   SweepOptions opts;
   opts.cancel = &token;
-  const SweepResult result = run_sweep_serial(cfg, opts);
+  const SweepResult result = run_sweep(cfg, nullptr, opts);
   token.request_cancel();  // too late: the run already drained
   EXPECT_FALSE(result.cancelled);
   EXPECT_EQ(result.stats.skipped_points, 0u);
@@ -176,19 +168,19 @@ TEST(SweepCancel, PointDeadlineFailsTheSweepSeriallyAndPooled) {
   const SweepConfig cfg = SweepConfig::tiny();
   SweepOptions opts;
   opts.point_deadline = std::chrono::nanoseconds(1);
-  EXPECT_THROW(static_cast<void>(run_sweep_serial(cfg, opts)),
+  EXPECT_THROW(static_cast<void>(run_sweep(cfg, nullptr, opts)),
                fault::DeadlineExceeded);
   Pool pool(4);
-  EXPECT_THROW(static_cast<void>(run_sweep(cfg, pool, opts)),
+  EXPECT_THROW(static_cast<void>(run_sweep(cfg, &pool, opts)),
                fault::DeadlineExceeded);
 }
 
 TEST(SweepCancel, GenerousPointDeadlineChangesNothing) {
   const SweepConfig cfg = SweepConfig::tiny();
-  const std::string want = to_json(run_sweep_serial(cfg));
+  const std::string want = to_json(run_sweep(cfg, nullptr));
   SweepOptions opts;
   opts.point_deadline = std::chrono::hours(1);
-  EXPECT_EQ(to_json(run_sweep_serial(cfg, opts)), want);
+  EXPECT_EQ(to_json(run_sweep(cfg, nullptr, opts)), want);
 }
 
 }  // namespace

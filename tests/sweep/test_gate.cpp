@@ -6,14 +6,6 @@
 
 #include <string>
 
-// run_sweep/run_sweep_serial are deprecated in favor of Evaluator::sweep;
-// this file exercises the sweep engine directly on purpose (it is the layer
-// under test/measurement, below the facade).
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-
-
 namespace stamp::sweep {
 namespace {
 
@@ -45,7 +37,7 @@ TEST(Gate, IdenticalDocumentsPass) {
 }
 
 TEST(Gate, RealSweepSelfComparisonPasses) {
-  const std::string json = to_json(run_sweep_serial(SweepConfig::tiny()));
+  const std::string json = to_json(run_sweep(SweepConfig::tiny(), nullptr));
   const GateReport r = compare_sweeps_text(json, json);
   EXPECT_TRUE(r.ok);
   EXPECT_EQ(r.points_compared, SweepConfig::tiny().grid.size());
@@ -55,9 +47,9 @@ TEST(Gate, RealSweepSelfComparisonPasses) {
 // per-flop energy weight w_fp) must trip the gate.
 TEST(Gate, PerturbedCostModelConstantFailsTheGate) {
   SweepConfig cfg = SweepConfig::tiny();
-  const std::string baseline = to_json(run_sweep_serial(cfg));
+  const std::string baseline = to_json(run_sweep(cfg, nullptr));
   cfg.base.energy.w_fp *= 1.5;  // the perturbation
-  const std::string fresh = to_json(run_sweep_serial(cfg));
+  const std::string fresh = to_json(run_sweep(cfg, nullptr));
   const GateReport r = compare_sweeps_text(baseline, fresh);
   EXPECT_FALSE(r.ok);
   // Energy-bearing metrics drift; pure-time D does not (w_fp is energy-only).

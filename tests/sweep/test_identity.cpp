@@ -13,22 +13,14 @@
 
 #include <string>
 
-// run_sweep/run_sweep_serial are deprecated in favor of Evaluator::sweep;
-// this file exercises the sweep engine directly on purpose (it is the layer
-// under test/measurement, below the facade).
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-
-
 namespace stamp::sweep {
 namespace {
 
 void expect_identical_at_every_width(const SweepConfig& cfg) {
-  const std::string serial = to_json(run_sweep_serial(cfg));
+  const std::string serial = to_json(run_sweep(cfg, nullptr));
   for (const int threads : {1, 4, 16}) {
     Pool pool(threads);
-    const std::string pooled = to_json(run_sweep(cfg, pool));
+    const std::string pooled = to_json(run_sweep(cfg, &pool));
     EXPECT_EQ(serial, pooled)
         << "artifact differs from serial at " << threads << " threads";
   }

@@ -11,17 +11,10 @@
 #include <cstddef>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
-
-// run_sweep/run_sweep_serial are deprecated in favor of Evaluator::sweep;
-// this file exercises the sweep engine directly on purpose (it is the layer
-// under test/measurement, below the facade).
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-
 
 namespace stamp::sweep {
 namespace {
@@ -44,7 +37,7 @@ std::size_t file_size(const std::string& path) {
 /// A couple of genuinely evaluated records to journal (index 0 and 1 of the
 /// tiny grid), so the torture corpus uses real payloads, not toy ones.
 std::vector<SweepRecord> tiny_records() {
-  static const SweepResult result = run_sweep_serial(SweepConfig::tiny());
+  static const SweepResult result = run_sweep(SweepConfig::tiny(), nullptr);
   return result.records;
 }
 
@@ -202,7 +195,7 @@ TEST(Journal, FreshRunJournalsEveryPointAndResumeReplaysThemAll) {
     Journal journal(path, cfg);
     SweepOptions opts;
     opts.journal = &journal;
-    first = run_sweep_serial(cfg, opts);
+    first = run_sweep(cfg, nullptr, opts);
     EXPECT_EQ(journal.appended(), cfg.grid.size());
   }
   EXPECT_EQ(first.stats.journaled_points, cfg.grid.size());
@@ -211,7 +204,7 @@ TEST(Journal, FreshRunJournalsEveryPointAndResumeReplaysThemAll) {
   EXPECT_EQ(resume.completed_points(), cfg.grid.size());
   SweepOptions opts;
   opts.resume = &resume;
-  const SweepResult replayed = run_sweep_serial(cfg, opts);
+  const SweepResult replayed = run_sweep(cfg, nullptr, opts);
   EXPECT_EQ(replayed.stats.resumed_points, cfg.grid.size());
   EXPECT_EQ(replayed.stats.journaled_points, 0u);
   EXPECT_EQ(to_json(replayed), to_json(first));
@@ -220,16 +213,19 @@ TEST(Journal, FreshRunJournalsEveryPointAndResumeReplaysThemAll) {
 
 // The acceptance property behind the CI job: kill a journaled sweep with an
 // injected SweepPointFail, resume from the journal, and get an artifact
-// byte-identical to an uninterrupted run — at any pool width.
+// byte-identical to an uninterrupted run — at any pool width, and without a
+// pool (width 0 here: the calling thread alone).
 TEST(Journal, KillAndResumeIsByteIdenticalAtAnyPoolWidth) {
   const SweepConfig cfg = SweepConfig::tiny();
-  const std::string want = to_json(run_sweep_serial(cfg));
+  const std::string want = to_json(run_sweep(cfg, nullptr));
 
-  for (const int width : {1, 4, 16}) {
+  std::vector<std::size_t> journaled;
+  for (const int width : {0, 1, 4, 16}) {
     const std::string path =
         temp_path("journal_kill_w" + std::to_string(width) + ".journal");
     fs::remove(path);
-    Pool pool(width);
+    std::unique_ptr<Pool> pool;
+    if (width > 0) pool = std::make_unique<Pool>(width);
 
     fault::FaultPlan plan;
     plan.seed = 42;
@@ -241,7 +237,7 @@ TEST(Journal, KillAndResumeIsByteIdenticalAtAnyPoolWidth) {
       SweepOptions opts;
       opts.journal = &journal;
       try {
-        static_cast<void>(run_sweep(cfg, pool, opts));
+        static_cast<void>(run_sweep(cfg, pool.get(), opts));
       } catch (const fault::SweepPointFailure&) {
         failed = true;
       }
@@ -250,18 +246,21 @@ TEST(Journal, KillAndResumeIsByteIdenticalAtAnyPoolWidth) {
     ASSERT_TRUE(failed) << "width " << width;
 
     const ResumeState resume = ResumeState::load(path, cfg);
-    // Fault decisions are keyed by grid index, so the set of failing points
-    // (and with it the journaled set) is identical at every pool width.
     EXPECT_GT(resume.completed_points(), 0u) << "width " << width;
     ASSERT_LT(resume.completed_points(), cfg.grid.size()) << "width " << width;
+    journaled.push_back(resume.completed_points());
 
     SweepOptions opts;
     opts.resume = &resume;
-    const SweepResult resumed = run_sweep(cfg, pool, opts);
+    const SweepResult resumed = run_sweep(cfg, pool.get(), opts);
     EXPECT_EQ(resumed.stats.resumed_points, resume.completed_points());
     EXPECT_EQ(to_json(resumed), want) << "width " << width;
     fs::remove(path);
   }
+  // Fault decisions are keyed by grid index and every non-failing point is
+  // journaled before the failure surfaces, so the journaled set is identical
+  // with and without a pool, at every width.
+  for (const std::size_t n : journaled) EXPECT_EQ(n, journaled.front());
 }
 
 // Creating a fresh journal must fsync its *parent directory* (observed via

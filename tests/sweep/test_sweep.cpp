@@ -8,14 +8,6 @@
 #include <stdexcept>
 #include <vector>
 
-// run_sweep/run_sweep_serial are deprecated in favor of Evaluator::sweep;
-// this file exercises the sweep engine directly on purpose (it is the layer
-// under test/measurement, below the facade).
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-
-
 namespace stamp::sweep {
 namespace {
 
@@ -27,16 +19,16 @@ TEST(Sweep, CanonicalGridIsLargeEnoughToGate) {
 
 TEST(Sweep, SerialRunIsDeterministic) {
   const SweepConfig cfg = SweepConfig::tiny();
-  const SweepResult a = run_sweep_serial(cfg);
-  const SweepResult b = run_sweep_serial(cfg);
+  const SweepResult a = run_sweep(cfg, nullptr);
+  const SweepResult b = run_sweep(cfg, nullptr);
   EXPECT_EQ(a.records, b.records);
 }
 
 TEST(Sweep, PooledRecordsMatchSerialRecords) {
   const SweepConfig cfg = SweepConfig::tiny();
-  const SweepResult serial = run_sweep_serial(cfg);
+  const SweepResult serial = run_sweep(cfg, nullptr);
   Pool pool(4);
-  const SweepResult pooled = run_sweep(cfg, pool);
+  const SweepResult pooled = run_sweep(cfg, &pool);
   EXPECT_EQ(serial.records, pooled.records);
 }
 
@@ -47,10 +39,10 @@ TEST(Sweep, JsonIsByteIdenticalAcrossPoolWidths) {
   ASSERT_GE(cfg.grid.size(), 256u);
   Pool one(1);
   Pool four(4);
-  const std::string json1 = to_json(run_sweep(cfg, one));
-  const std::string json4 = to_json(run_sweep(cfg, four));
+  const std::string json1 = to_json(run_sweep(cfg, &one));
+  const std::string json4 = to_json(run_sweep(cfg, &four));
   EXPECT_EQ(json1, json4);
-  EXPECT_EQ(json1, to_json(run_sweep_serial(cfg)));
+  EXPECT_EQ(json1, to_json(run_sweep(cfg, nullptr)));
 }
 
 // The memoization contract since the batch evaluator: one cache probe per
@@ -59,7 +51,7 @@ TEST(Sweep, JsonIsByteIdenticalAcrossPoolWidths) {
 // serial sweep is the miss that computes the point.
 TEST(Sweep, BatchPathProbesTheCacheOncePerPoint) {
   const SweepConfig cfg = SweepConfig::tiny();
-  const SweepResult r = run_sweep_serial(cfg);
+  const SweepResult r = run_sweep(cfg, nullptr);
   const auto points = static_cast<std::uint64_t>(cfg.grid.size());
   EXPECT_EQ(r.stats.cache_misses, points);
   EXPECT_EQ(r.stats.cache_hits, 0u);
@@ -68,7 +60,7 @@ TEST(Sweep, BatchPathProbesTheCacheOncePerPoint) {
 TEST(Sweep, PooledCacheAccountsForEveryQuery) {
   const SweepConfig cfg = SweepConfig::tiny();
   Pool pool(4);
-  const SweepResult r = run_sweep(cfg, pool);
+  const SweepResult r = run_sweep(cfg, &pool);
   const auto points = static_cast<std::uint64_t>(cfg.grid.size());
   // One probe per point; every probe is counted exactly once (hit or miss),
   // and at least one miss per distinct tuple is unavoidable.
@@ -77,7 +69,7 @@ TEST(Sweep, PooledCacheAccountsForEveryQuery) {
 }
 
 TEST(Sweep, MetricsAreConsistentDerivationsOfOneCost) {
-  const SweepResult r = run_sweep_serial(SweepConfig::tiny());
+  const SweepResult r = run_sweep(SweepConfig::tiny(), nullptr);
   for (const SweepRecord& rec : r.records) {
     EXPECT_DOUBLE_EQ(rec.metrics.EDP, rec.metrics.PDP * rec.metrics.D);
     EXPECT_DOUBLE_EQ(rec.metrics.ED2P, rec.metrics.EDP * rec.metrics.D);
@@ -88,7 +80,7 @@ TEST(Sweep, MetricsAreConsistentDerivationsOfOneCost) {
 
 TEST(Sweep, RecordsAreSortedByGridIndexWithDecodedParams) {
   const SweepConfig cfg = SweepConfig::tiny();
-  const SweepResult r = run_sweep_serial(cfg);
+  const SweepResult r = run_sweep(cfg, nullptr);
   ASSERT_EQ(r.records.size(), cfg.grid.size());
   for (std::size_t i = 0; i < r.records.size(); ++i) {
     EXPECT_EQ(r.records[i].index, i);
@@ -98,7 +90,7 @@ TEST(Sweep, RecordsAreSortedByGridIndexWithDecodedParams) {
 
 TEST(Sweep, SelectsAProcessCountWithinTheHardwareBound) {
   const SweepConfig cfg = SweepConfig::canonical();
-  const SweepResult r = run_sweep_serial(cfg);
+  const SweepResult r = run_sweep(cfg, nullptr);
   for (const SweepRecord& rec : r.records) {
     const int cores = static_cast<int>(
         cfg.grid.value(rec.params, axes::kCores));
@@ -110,7 +102,7 @@ TEST(Sweep, SelectsAProcessCountWithinTheHardwareBound) {
 }
 
 TEST(Sweep, ClassicalModelPredictionsAreFinite) {
-  const SweepResult r = run_sweep_serial(SweepConfig::tiny());
+  const SweepResult r = run_sweep(SweepConfig::tiny(), nullptr);
   for (const SweepRecord& rec : r.records)
     for (const double t : rec.classical) {
       EXPECT_TRUE(std::isfinite(t));
@@ -122,7 +114,7 @@ TEST(Sweep, MachineParameterAxesActuallyChangeTheMetrics) {
   // Two points that differ only in ell_e must price shared-memory latency
   // differently somewhere in the grid (sanity against dead axes).
   const SweepConfig cfg = SweepConfig::canonical();
-  const SweepResult r = run_sweep_serial(cfg);
+  const SweepResult r = run_sweep(cfg, nullptr);
   const int ell_axis = cfg.grid.axis_index(std::string(axes::kEllE));
   ASSERT_GE(ell_axis, 0);
   bool any_difference = false;
@@ -167,7 +159,7 @@ TEST(Sweep, SetupPointRejectsUnrepresentableIntegerAxisValues) {
 }
 
 TEST(Sweep, JsonArtifactCarriesTheStableSchema) {
-  const std::string json = to_json(run_sweep_serial(SweepConfig::tiny()));
+  const std::string json = to_json(run_sweep(SweepConfig::tiny(), nullptr));
   EXPECT_NE(json.find("\"schema\":\"stamp-sweep/v1\""), std::string::npos);
   EXPECT_NE(json.find("\"points\":["), std::string::npos);
   EXPECT_NE(json.find("\"metrics\":{\"D\":"), std::string::npos);

@@ -56,13 +56,6 @@
 #include <utility>
 #include <vector>
 
-// The chaos harness drives the sweep engine directly (run_sweep with an
-// explicit pool) to keep drain semantics identical at every --jobs; that
-// entry point carries a facade-deprecation note which must stay quiet here.
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-
 namespace {
 
 using stamp::Distribution;
@@ -327,7 +320,7 @@ ScenarioReport scenario_sweep_resume(std::uint64_t seed, int jobs) {
   namespace sw = stamp::sweep;
   const sw::SweepConfig cfg = sw::SweepConfig::tiny();
   sw::Pool pool(jobs);
-  const std::string want = sw::to_json(sw::run_sweep(cfg, pool));
+  const std::string want = sw::to_json(sw::run_sweep(cfg, &pool));
 
   const std::string journal_path =
       (std::filesystem::temp_directory_path() /
@@ -347,7 +340,7 @@ ScenarioReport scenario_sweep_resume(std::uint64_t seed, int jobs) {
     sw::SweepOptions opts;
     opts.journal = &journal;
     try {
-      static_cast<void>(sw::run_sweep(cfg, pool, opts));
+      static_cast<void>(sw::run_sweep(cfg, &pool, opts));
     } catch (const stamp::fault::SweepPointFailure&) {
       // Which failing point surfaces first is scheduling-dependent, so the
       // report records only that the run failed, never the index.
@@ -363,7 +356,7 @@ ScenarioReport scenario_sweep_resume(std::uint64_t seed, int jobs) {
   const sw::ResumeState resume = sw::ResumeState::load(journal_path, cfg);
   sw::SweepOptions opts;
   opts.resume = &resume;
-  const sw::SweepResult resumed = sw::run_sweep(cfg, pool, opts);
+  const sw::SweepResult resumed = sw::run_sweep(cfg, &pool, opts);
   std::filesystem::remove(journal_path);
 
   report.counts.emplace_back("first_run_failed", first_run_failed);
@@ -518,7 +511,7 @@ ScenarioReport scenario_fleet(std::uint64_t seed) {
   // Reference artifact from a clean single-node sweep, before arming faults.
   Evaluator::clear_faults();
   sw::Pool pool(1);
-  const std::string want = sw::to_json(sw::run_sweep(cfg, pool));
+  const std::string want = sw::to_json(sw::run_sweep(cfg, &pool));
 
   stamp::fault::FaultPlan plan;
   plan.seed = seed;
@@ -582,7 +575,7 @@ ScenarioReport scenario_fleet(std::uint64_t seed) {
   const sw::ResumeState merged = sw::ResumeState::load(journal_path, cfg);
   sw::SweepOptions opts;
   opts.resume = &merged;
-  const std::string got = sw::to_json(sw::run_sweep(cfg, pool, opts));
+  const std::string got = sw::to_json(sw::run_sweep(cfg, &pool, opts));
   std::filesystem::remove(journal_path);
 
   report.counts.emplace_back("workers", static_cast<long long>(kWorkers));

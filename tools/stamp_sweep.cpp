@@ -281,8 +281,8 @@ int main(int argc, char** argv) {
     try {
       result = eval.sweep(cfg, opts);
     } catch (const std::exception& e) {
-      // The journal object (if any) already synced its tail in run_sweep's
-      // unwind path; completed points survive for --resume.
+      // Every non-failing point was evaluated and the journal (if any)
+      // synced before the failure surfaced; they all survive for --resume.
       std::cerr << "stamp_sweep: sweep failed: " << e.what() << "\n";
       if (journal)
         std::cerr << "stamp_sweep: journal preserved at '" << journal_path
