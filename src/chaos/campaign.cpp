@@ -27,12 +27,15 @@ const char* outcome_name(TrialOutcome outcome) noexcept {
 }
 
 TrialRun run_trial(const std::shared_ptr<const Scenario>& scenario,
-                   const fault::Schedule& schedule, int watchdog_ms,
+                   const TrialArming& arming, int watchdog_ms,
                    const std::string* reference) {
   // The injector and completion state are shared_ptrs: a hung trial's thread
   // is detached, and whatever it still touches must outlive this frame.
   auto injector = std::make_shared<fault::Injector>();
-  injector->arm_replay(schedule);
+  if (const auto* plan = std::get_if<fault::FaultPlan>(&arming))
+    injector->arm(*plan);
+  else
+    injector->arm_replay(std::get<fault::Schedule>(arming));
 
   struct Completion {
     std::mutex mutex;
@@ -45,8 +48,8 @@ TrialRun run_trial(const std::shared_ptr<const Scenario>& scenario,
   auto completion = std::make_shared<Completion>();
 
   std::thread worker([scenario, injector, completion] {
-    // The override makes every hook site this thread (and any executor
-    // thread it spawns) reaches draw from the trial's private injector.
+    // The override makes every hook site this thread (and every thread the
+    // scenario starts) reaches draw from the trial's private injector.
     const fault::InjectorScope scope(*injector);
     std::string artifact;
     std::string error;
@@ -127,20 +130,20 @@ namespace {
 /// The sites a campaign enumerates, in a deterministic order: the
 /// scenario's declaration order filtered by the request, then requested
 /// sites the scenario does not declare (magnitude 0), in request order.
-[[nodiscard]] std::vector<SiteSweep> select_sites(
+[[nodiscard]] std::vector<ScenarioSite> select_sites(
     const Scenario& scenario, const std::vector<fault::FaultSite>& requested) {
-  const std::vector<SiteSweep> declared = scenario.sites();
+  const std::vector<ScenarioSite> declared = scenario.sites();
   if (requested.empty()) return declared;
-  std::vector<SiteSweep> selected;
-  for (const SiteSweep& sweep : declared)
+  std::vector<ScenarioSite> selected;
+  for (const ScenarioSite& sweep : declared)
     if (std::find(requested.begin(), requested.end(), sweep.site) !=
         requested.end())
       selected.push_back(sweep);
   for (const fault::FaultSite site : requested) {
-    const auto known = [&](const SiteSweep& s) { return s.site == site; };
+    const auto known = [&](const ScenarioSite& s) { return s.site == site; };
     if (std::find_if(selected.begin(), selected.end(), known) ==
         selected.end())
-      selected.push_back(SiteSweep{site, 0.0});
+      selected.push_back(ScenarioSite{site, {}});
   }
   return selected;
 }
@@ -163,14 +166,14 @@ CampaignResult Campaign::run(sweep::Pool& pool) const {
                                                       : reference.error));
   result.reference = reference.artifact;
 
-  const std::vector<SiteSweep> sweeps =
+  const std::vector<ScenarioSite> sweeps =
       select_sites(*scenario_, options_.sites);
-  for (const SiteSweep& sweep : sweeps) result.sites.push_back(sweep.site);
+  for (const ScenarioSite& sweep : sweeps) result.sites.push_back(sweep.site);
 
   // Phase 1: single-injection schedules — site (selection order), then
   // stream key ascending, then decision index ascending, up to the budget.
   std::vector<fault::Schedule> planned;
-  for (const SiteSweep& sweep : sweeps) {
+  for (const ScenarioSite& sweep : sweeps) {
     for (const fault::StreamStats& stream : reference.streams) {
       if (stream.site != sweep.site) continue;
       const std::uint64_t limit = std::min(stream.decisions, options_.budget);
@@ -180,8 +183,8 @@ CampaignResult Campaign::run(sweep::Pool& pool) const {
           continue;
         }
         fault::Schedule schedule;
-        schedule.entries.push_back(
-            fault::ScheduleEntry{sweep.site, stream.key, d, sweep.magnitude});
+        schedule.entries.push_back(fault::ScheduleEntry{
+            sweep.site, stream.key, d, sweep.spec.magnitude});
         planned.push_back(std::move(schedule));
       }
     }

@@ -27,6 +27,7 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
 namespace stamp::chaos {
@@ -40,7 +41,7 @@ enum class TrialOutcome : std::uint8_t {
 
 [[nodiscard]] const char* outcome_name(TrialOutcome outcome) noexcept;
 
-/// Everything one replayed trial produced.
+/// Everything one trial produced.
 struct TrialRun {
   TrialOutcome outcome = TrialOutcome::Pass;
   std::string artifact;  ///< scenario artifact (empty on error/hang)
@@ -49,15 +50,22 @@ struct TrialRun {
   std::vector<fault::StreamStats> streams;  ///< decision-stream census
 };
 
-/// Run `scenario` once under `schedule` (verbatim replay) on a dedicated
-/// thread with a private injector. `reference` is the expected artifact
-/// (nullptr skips the comparison — used for the reference run itself).
-/// `watchdog_ms <= 0` disables the watchdog. Never throws for scenario
-/// failures; those come back as the outcome.
+/// What a trial's private injector is armed with: a schedule replayed
+/// verbatim (an empty one observes: nothing fires, every stream is counted)
+/// or a seeded probabilistic plan.
+using TrialArming = std::variant<fault::Schedule, fault::FaultPlan>;
+
+/// Per-trial hang budget the tools use unless told otherwise.
+inline constexpr int kDefaultWatchdogMs = 20000;
+
+/// Run `scenario` once under `arming` on a dedicated thread with a private
+/// injector. `reference` is the expected artifact (nullptr skips the
+/// comparison — used for the reference run itself). `watchdog_ms <= 0`
+/// disables the watchdog. Never throws for scenario failures; those come
+/// back as the outcome.
 [[nodiscard]] TrialRun run_trial(
-    const std::shared_ptr<const Scenario>& scenario,
-    const fault::Schedule& schedule, int watchdog_ms,
-    const std::string* reference);
+    const std::shared_ptr<const Scenario>& scenario, const TrialArming& arming,
+    int watchdog_ms, const std::string* reference);
 
 struct CampaignOptions {
   /// Restrict enumeration to these sites (empty = every site the scenario
@@ -66,7 +74,7 @@ struct CampaignOptions {
   std::uint64_t budget = 16;       ///< decision indices swept per stream
   std::uint64_t max_trials = 2048; ///< cap on single-injection trials
   std::uint64_t pair_budget = 64;  ///< cap on pair-wise trials
-  int watchdog_ms = 20000;         ///< per-trial hang budget (<= 0: none)
+  int watchdog_ms = kDefaultWatchdogMs;  ///< trial hang budget (<= 0: none)
   bool shrink = false;             ///< ddmin failing schedules
   int shrink_failures = 4;         ///< shrink at most this many failures
   std::uint64_t shrink_trial_cap = 256;  ///< ddmin trial budget per failure

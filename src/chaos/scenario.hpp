@@ -13,6 +13,10 @@
 /// is deliberately excluded from the artifact; a mismatch therefore means a
 /// real invariant violation, not noise.
 ///
+/// Every thread a scenario starts (executor processes, server workers and
+/// readers, fleet coordinators) must draw from the trial thread's injector,
+/// so concurrent trials never see each other's faults.
+///
 /// Scenarios must be thread-safe as objects (campaign trials run
 /// concurrently, each on its own thread with its own injector override) and
 /// deterministic modulo the armed schedule.
@@ -26,11 +30,13 @@
 
 namespace stamp::chaos {
 
-/// One fault site a scenario exposes to campaign enumeration, and the
-/// magnitude an enumerated injection at that site carries.
-struct SiteSweep {
+/// One fault site a scenario's workload reaches, declared once. The seeded
+/// suite (`stamp_chaos run`) arms `spec` as is; campaign enumeration takes
+/// only its magnitude. A zero-probability spec exposes the site to campaign
+/// enumeration alone.
+struct ScenarioSite {
   fault::FaultSite site = fault::FaultSite::StmAbort;
-  double magnitude = 0;
+  fault::SiteSpec spec{};
 };
 
 class Scenario {
@@ -39,10 +45,9 @@ class Scenario {
 
   [[nodiscard]] virtual const char* name() const noexcept = 0;
 
-  /// The fault sites this scenario's workload reaches, with the magnitude an
-  /// injection at each carries. Campaign enumeration sweeps these (filtered
-  /// by `--sites`).
-  [[nodiscard]] virtual std::vector<SiteSweep> sites() const = 0;
+  /// The fault sites this scenario's workload reaches, each with its spec.
+  /// Campaign enumeration sweeps these (filtered by `--sites`).
+  [[nodiscard]] virtual std::vector<ScenarioSite> sites() const = 0;
 
   /// Run the workload once under the calling thread's current injector and
   /// return the invariant artifact. May throw (an escaped exception is a

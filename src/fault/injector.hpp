@@ -13,9 +13,10 @@
 /// program order. Same seed => same fault schedule at any worker count.
 ///
 /// `Injector::current()` resolves to a thread-local override installed by
-/// `InjectorScope` (how chaos-campaign trials run concurrently with private
-/// injectors) and falls back to the process-wide `Injector::global()` that
-/// `Evaluator::with_faults` and the classic chaos scenarios arm.
+/// `InjectorScope` (how chaos trials, seeded or replayed, run concurrently
+/// with private injectors) and falls back to the process-wide
+/// `Injector::global()` that `Evaluator::with_faults` arms (`stamp_sweep
+/// --fail-seed`, `stamp_serve`'s fault flags).
 ///
 /// Two modes:
 ///  - probabilistic (`arm`): a `FaultPlan` draws per-decision from the
@@ -29,7 +30,7 @@
 ///
 /// Every injection emits an `obs` instant event (when tracing is on) and a
 /// `fault.<site>` metrics counter (when metrics are on), plus always-on
-/// internal counters the chaos report reads. Suppressed injections (armed
+/// internal counters. Suppressed injections (armed
 /// site filtered by `only_key` or capped by `max_per_key`) are counted too,
 /// so a campaign can tell "site never reached" from "reached but capped".
 
@@ -178,7 +179,7 @@ class Injector {
   [[nodiscard]] std::uint64_t suppressed(FaultSite site) const noexcept;
 
   /// (site name, injected count) for every site with a non-zero count, in
-  /// site declaration order — the chaos report's "faults" object.
+  /// site declaration order.
   [[nodiscard]] std::vector<std::pair<std::string, std::uint64_t>>
   injected_by_site() const;
 
@@ -230,10 +231,11 @@ class Injector {
   std::array<std::atomic<std::uint64_t>, kFaultSiteCount> suppressed_{};
 };
 
-/// RAII thread-local override for `Injector::current()`. A chaos-campaign
-/// trial installs its private injector on the trial thread (and the executor
-/// propagates the override into the process threads it spawns), so
-/// concurrent trials never share decision state.
+/// RAII thread-local override for `Injector::current()`. A chaos trial
+/// installs its private injector on the trial thread, and the threads a
+/// scenario starts inherit it (the executor's process threads, a
+/// `serve::Server`'s workers and readers), so concurrent trials never share
+/// decision state.
 class InjectorScope {
  public:
   explicit InjectorScope(Injector& injector) noexcept;
@@ -247,7 +249,7 @@ class InjectorScope {
 };
 
 /// RAII thread-local actor key for `decide_here`. The executor scopes each
-/// process thread to its process id; the chaos harness scopes each logical
+/// process thread to its process id; chaos scenarios scope each logical
 /// task to its task id — which is what makes mailbox-level decisions
 /// deterministic at any worker count.
 class ActorScope {

@@ -46,7 +46,7 @@ inline constexpr std::size_t kFaultSiteCount = 12;
 }
 
 /// Stable lowercase name, used for metrics ("fault.<name>"), obs instant
-/// events, and the stamp-chaos/v1 report.
+/// events, stamp-schedule/v1 entries, and the stamp-chaos/v2 report.
 [[nodiscard]] const char* site_name(FaultSite s) noexcept;
 
 /// Inverse of site_name; empty optional for unknown names.

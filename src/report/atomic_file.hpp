@@ -3,7 +3,7 @@
 /// \brief `report::AtomicFileWriter` — crash-safe artifact emission: write to
 ///        a temp file, flush, fsync, then atomically rename into place.
 ///
-/// Every artifact the tools emit (`stamp-sweep/v1`, `stamp-chaos/v1`, bench
+/// Every artifact the tools emit (`stamp-sweep/v1`, `stamp-chaos/v2`, bench
 /// reports) feeds a downstream consumer that trusts it to be complete —
 /// `stamp_gate` fails a PR over a truncated baseline. A plain
 /// `std::ofstream(path)` truncates the destination the moment it opens, so a

@@ -101,10 +101,14 @@ void Server::start() {
   if (started_) return;
   listener_ = Listener::open(options_.port);
   port_ = listener_.local_port();
+  injector_ = &fault::Injector::current();
   deadlines_.start();
   workers_.reserve(static_cast<std::size_t>(options_.workers));
   for (int w = 0; w < options_.workers; ++w)
-    workers_.emplace_back([this] { worker_loop(); });
+    workers_.emplace_back([this] {
+      const fault::InjectorScope scope(*injector_);
+      worker_loop();
+    });
   accept_thread_ = std::thread([this] { accept_loop(); });
   started_ = true;
 }
@@ -120,9 +124,8 @@ void Server::drain() {
 
   // 2. No new requests: readers notice the flag within one poll and exit;
   //    every request they already admitted is safely in the mailbox.
-  for (std::thread& reader : readers_)
-    if (reader.joinable()) reader.join();
-  readers_.clear();
+  for (Reader& reader : readers_)
+    if (reader.thread.joinable()) reader.thread.join();
 
   // 3. Finish in-flight: close the mailbox — workers drain the remaining
   //    queue, then receive() throws and they exit.
@@ -135,12 +138,12 @@ void Server::drain() {
 
   // 4. Only now hang up: every admitted job has had its response written.
   {
-    const std::scoped_lock conns_lock(conns_mutex_);
-    for (const std::shared_ptr<Conn>& conn : conns_) {
-      conn->sock.shutdown_both();
-      conn->sock.close();
+    const std::scoped_lock readers_lock(readers_mutex_);
+    for (const Reader& reader : readers_) {
+      reader.conn->sock.shutdown_both();
+      reader.conn->sock.close();
     }
-    conns_.clear();
+    readers_.clear();
   }
 
   if (obs::metrics_enabled()) {
@@ -168,17 +171,36 @@ ServerStats Server::stats() const {
   return s;
 }
 
+std::size_t Server::live_readers() const {
+  const std::scoped_lock lock(readers_mutex_);
+  return readers_.size();
+}
+
 void Server::accept_loop() {
   while (!draining()) {
+    reap_readers();
     std::optional<Socket> sock = listener_.accept_for(kPollMs);
     if (!sock.has_value()) continue;
     stats_.connections.fetch_add(1, std::memory_order_relaxed);
     count_metric("serve.accept");
     auto conn = std::make_shared<Conn>(std::move(*sock));
-    const std::scoped_lock lock(conns_mutex_);
-    conns_.push_back(conn);
-    readers_.emplace_back([this, conn] { reader_loop(conn); });
+    std::thread thread([this, conn] {
+      const fault::InjectorScope scope(*injector_);
+      reader_loop(conn);
+      conn->hung_up.store(true, std::memory_order_release);
+    });
+    const std::scoped_lock lock(readers_mutex_);
+    readers_.push_back(Reader{std::move(conn), std::move(thread)});
   }
+}
+
+void Server::reap_readers() {
+  const std::scoped_lock lock(readers_mutex_);
+  std::erase_if(readers_, [](Reader& reader) {
+    if (!reader.conn->hung_up.load(std::memory_order_acquire)) return false;
+    reader.thread.join();
+    return true;
+  });
 }
 
 void Server::reader_loop(const std::shared_ptr<Conn>& conn) {

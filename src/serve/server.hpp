@@ -7,7 +7,8 @@
 /// Thread anatomy (all owned by `Server`):
 ///
 ///   accept loop ── one thread polling the listener; each connection gets a
-///                  reader thread.
+///                  reader thread. Between polls it reaps the readers whose
+///                  peer hung up, so client churn holds no fds or threads.
 ///   readers     ── parse request lines and *admit* them: a
 ///                  `msg::BoundedMailbox<Job>` is the only path to the
 ///                  workers, so a full queue is an explicit `503 overloaded`
@@ -24,6 +25,11 @@
 ///                  CancelToken); an overdue request's token is tripped and
 ///                  the evaluation bails out cooperatively into a 504.
 ///
+/// Workers and readers draw fault decisions from the injector that was
+/// current on the thread calling `start()` (it must outlive the server), so
+/// a server started inside a chaos trial answers to that trial's private
+/// injector.
+///
 /// `drain()` is the graceful-shutdown contract the tools wire to
 /// SIGINT/SIGTERM: stop accepting (new connections *and* new requests),
 /// close the mailbox, let the workers finish every admitted job, join
@@ -31,6 +37,7 @@
 /// destructor calls it as a backstop.
 
 #include "core/cancel.hpp"
+#include "fault/injector.hpp"
 #include "fault/retry.hpp"
 #include "msg/bounded_mailbox.hpp"
 #include "serve/engine.hpp"
@@ -106,13 +113,25 @@ class Server {
   [[nodiscard]] ServerStats stats() const;
   [[nodiscard]] ServeEngine& engine() noexcept { return engine_; }
 
+  /// Reader threads not yet reaped: the clients still connected, plus any
+  /// that hung up since the accept loop's last poll.
+  [[nodiscard]] std::size_t live_readers() const;
+
  private:
   /// One connection shared between its reader thread and the jobs in
-  /// flight; the write mutex serializes response lines from workers.
+  /// flight; the write mutex serializes response lines from workers. The
+  /// socket closes with the last owner, so a response still in flight when
+  /// the reader is reaped can never land on a reused descriptor.
   struct Conn {
     explicit Conn(Socket s) : sock(std::move(s)) {}
     Socket sock;
     std::mutex write_mutex;
+    std::atomic<bool> hung_up{false};  ///< set by the reader as it exits
+  };
+
+  struct Reader {
+    std::shared_ptr<Conn> conn;
+    std::thread thread;
   };
 
   struct Job {
@@ -147,6 +166,7 @@ class Server {
   };
 
   void accept_loop();
+  void reap_readers();
   void reader_loop(const std::shared_ptr<Conn>& conn);
   void worker_loop();
   void admit(const ServeRequest& request, const std::shared_ptr<Conn>& conn);
@@ -160,6 +180,7 @@ class Server {
   DeadlineScheduler deadlines_;
   Listener listener_;
   std::uint16_t port_ = 0;
+  fault::Injector* injector_ = nullptr;  ///< current() at start()
 
   std::atomic<bool> draining_{false};
   bool started_ = false;
@@ -168,9 +189,8 @@ class Server {
 
   std::thread accept_thread_;
   std::vector<std::thread> workers_;
-  std::mutex conns_mutex_;
-  std::vector<std::shared_ptr<Conn>> conns_;
-  std::vector<std::thread> readers_;
+  mutable std::mutex readers_mutex_;
+  std::vector<Reader> readers_;
 
   struct AtomicStats {
     std::atomic<std::uint64_t> connections{0};

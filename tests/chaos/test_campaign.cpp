@@ -92,6 +92,32 @@ TEST(Campaign, CleanScenarioReportsNoViolations) {
   EXPECT_TRUE(result.minimal.empty());
 }
 
+TEST(Campaign, MovedScenariosComeBackCleanUnderABoundedCampaign) {
+  for (const char* name : {"sweep_resume", "fleet"}) {
+    CampaignOptions options;
+    options.budget = 2;
+    options.pair_budget = 4;
+    const Campaign campaign(make_scenario(name), options);
+    sweep::Pool pool(2);
+    const CampaignResult result = campaign.run(pool);
+    EXPECT_GT(result.singles, 0u) << name;
+    EXPECT_GT(result.pairs, 0u) << name;
+    EXPECT_TRUE(result.failures.empty()) << name;
+  }
+}
+
+TEST(Campaign, ServeTrialReplaysAWorkerFailOnServerThreads) {
+  // The crash decision is taken on a server worker thread, not the trial
+  // thread: it fires only if the server draws from the trial's injector.
+  fault::Schedule crash;
+  crash.entries.push_back({fault::FaultSite::ServeWorkerFail, /*key=*/3,
+                           /*decision=*/0, /*magnitude=*/0.0});
+  const TrialRun trial =
+      run_trial(make_scenario("serve"), crash, /*watchdog_ms=*/20000, nullptr);
+  ASSERT_EQ(trial.outcome, TrialOutcome::Pass) << trial.error;
+  EXPECT_EQ(trial.fired, crash);
+}
+
 TEST(Campaign, SiteFilterRestrictsEnumeration) {
   CampaignOptions options;
   options.sites = {fault::FaultSite::MsgDrop};

@@ -1,6 +1,7 @@
 #include "chaos/scenario.hpp"
 
 #include "fault/injector.hpp"
+#include "sweep/sweep.hpp"
 
 #include <gtest/gtest.h>
 
@@ -26,6 +27,15 @@ TEST(Scenarios, UninjectedRunsAreDeterministic) {
     const auto scenario = make_scenario(name);
     EXPECT_EQ(scenario->run(), scenario->run()) << name;
   }
+}
+
+TEST(Scenarios, SweepArtifactsEqualASingleNodeSweep) {
+  // Uninjected, the kill-and-resume and fleet scenarios reproduce exactly
+  // the bytes `stamp_sweep --grid tiny` writes.
+  const std::string want = sweep::to_json(
+      sweep::run_sweep(sweep::SweepConfig::tiny(), /*pool=*/nullptr));
+  EXPECT_EQ(make_scenario("sweep_resume")->run(), want);
+  EXPECT_EQ(make_scenario("fleet")->run(), want);
 }
 
 TEST(Scenarios, SeededProbeToleratesOneInjectionButNotTwo) {

@@ -12,7 +12,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace stamp::serve {
@@ -45,6 +47,14 @@ std::vector<std::string> call(std::uint16_t port,
   }
   EXPECT_EQ(responses.size(), expect);
   return responses;
+}
+
+std::size_t open_fds() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd"))
+    ++n;
+  return n;
 }
 
 bool has_status(const std::string& line, int status) {
@@ -258,6 +268,40 @@ TEST(Server, StatsResponseReportsQueueAndCache) {
       << responses[0];
   EXPECT_NE(responses[0].find("\"cache\":"), std::string::npos);
   server.drain();
+}
+
+TEST(Server, ClientChurnHoldsNoFdsOrReaders) {
+  Server server(ServerOptions{});
+  server.start();
+  const std::size_t fds_before = open_fds();
+  const std::size_t readers_before = server.live_readers();
+
+  constexpr std::size_t kClients = 300;
+  for (std::size_t i = 0; i < kClients; ++i) {
+    Socket sock = Socket::connect_to(server.port());
+    ASSERT_TRUE(sock.valid());
+    ASSERT_TRUE(sock.write_all(R"({"id":1,"op":"stats"})"
+                               "\n"));
+    std::string line;
+    ASSERT_EQ(sock.read_line(line, /*timeout_ms=*/5000), ReadStatus::Line);
+  }  // each client hangs up as its socket goes out of scope
+
+  // The accept loop reaps hung-up readers between polls; the last few
+  // clients' readers get a moment to notice their EOF.
+  constexpr std::size_t kSlack = 4;
+  const auto settled = [&] {
+    return open_fds() <= fds_before + kSlack &&
+           server.live_readers() <= readers_before + kSlack;
+  };
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!settled() && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_LE(open_fds(), fds_before + kSlack);
+  EXPECT_LE(server.live_readers(), readers_before + kSlack);
+
+  server.drain();
+  EXPECT_EQ(server.stats().connections, kClients);
 }
 
 }  // namespace
