@@ -82,8 +82,10 @@ TransferRunResult run_transfer_workload(const Topology& topology,
           int from;
           int to;
           if (coin(rng) < w.hot_fraction) {
-            from = 0;
-            to = 1;
+            // Either way across the pair, so it keeps its money and every
+            // hot transfer writes both accounts.
+            from = coin(rng) < 0.5 ? 0 : 1;
+            to = 1 - from;
           } else {
             from = acct(rng);
             do {

@@ -57,6 +57,10 @@ struct TransferWorkload {
   long max_amount = 10;
   /// Fraction of transfers directed at a single hot account pair — the
   /// contention knob (0 = uniform, 1 = everything hits the hot pair).
+  /// A hot transfer goes either way across the pair (a fair coin from the
+  /// process's own stream), so the pair keeps its money and the knob
+  /// measures contention, not drain. The direction coin is drawn only for
+  /// hot transfers: a uniform run's random stream does not depend on it.
   double hot_fraction = 0.0;
   std::uint64_t seed = 1;
   Distribution distribution = Distribution::IntraProc;  // the paper's choice

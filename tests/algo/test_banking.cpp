@@ -103,6 +103,20 @@ TEST(TransferWorkload, HotSpotRaisesAborts) {
   EXPECT_GT(contended.stm_aborts, cold.stm_aborts);
 }
 
+// A hot pair must keep its money: with one process there is no scheduling,
+// and a pair drained one way could fund at most `initial_balance` commits
+// (every amount is at least 1), after which each hot transfer is a
+// read-only "insufficient" that cannot conflict.
+TEST(TransferWorkload, HotPairKeepsCommitting) {
+  TransferWorkload w;
+  w.processes = 1;
+  w.transfers_per_process = 4000;
+  w.hot_fraction = 1.0;
+  const TransferRunResult r = run_transfer_workload(kTopo, w, "passive");
+  EXPECT_EQ(r.balance_before, r.balance_after);
+  EXPECT_GT(r.committed, w.initial_balance);
+}
+
 TEST(TransferWorkload, KappaReflectsRetries) {
   TransferWorkload w;
   w.processes = 8;
