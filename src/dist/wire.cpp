@@ -1,26 +1,16 @@
 #include "dist/wire.hpp"
 
 #include "models/models.hpp"
+#include "report/json.hpp"
 #include "sweep/grid.hpp"
 
-#include <sstream>
 #include <string_view>
 
 namespace stamp::dist {
 namespace {
 
+using report::format_number;
 using report::JsonValue;
-
-/// Canonical double formatting — must match the journal/artifact writer
-/// (JsonWriter emits precision-15 shortest-round-trip), so equality of the
-/// formatted strings is exactly "re-emitting this value reproduces the same
-/// bytes".
-std::string fmt15(double v) {
-  std::ostringstream ss;
-  ss.precision(15);
-  ss << v;
-  return ss.str();
-}
 
 double require_number(const JsonValue& obj, std::string_view key) {
   const JsonValue* v = obj.find(key);
@@ -68,11 +58,13 @@ sweep::SweepRecord decode_point(const JsonValue& point,
       throw WireError("sweep_chunk response: point " +
                       std::to_string(rec.index) + " lacks axis '" +
                       axes[a].name + "'");
-    if (fmt15(v->as_number()) != fmt15(scratch[a]))
+    const report::NumberText got = format_number(v->as_number());
+    const report::NumberText want = format_number(scratch[a]);
+    if (got.view() != want.view())
       throw WireError("sweep_chunk response: point " +
                       std::to_string(rec.index) + " axis '" + axes[a].name +
-                      "' value " + fmt15(v->as_number()) +
-                      " contradicts the grid's " + fmt15(scratch[a]));
+                      "' value " + std::string(got.view()) +
+                      " contradicts the grid's " + std::string(want.view()));
   }
   rec.params = scratch;
 

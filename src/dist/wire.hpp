@@ -6,11 +6,12 @@
 /// The fleet coordinator's byte-identity contract rests on this file: a
 /// worker's wire point is only accepted when its index lies inside the
 /// dispatched shard and its axis values match the coordinator's own grid
-/// under the canonical precision-15 formatting (the same check the journal's
-/// resume path applies). Accepted records are re-anchored to the grid's
-/// exact doubles, so what gets journaled — and later replayed into the
-/// merged artifact — is bit-for-bit what a single-node sweep would have
-/// produced, regardless of which worker evaluated the point.
+/// under the artifacts' canonical number format, `report::format_number`
+/// (the same check the journal's resume path applies). Accepted records are
+/// re-anchored to the grid's exact doubles, so what gets journaled — and
+/// later replayed into the merged artifact — is bit-for-bit what a
+/// single-node sweep would have produced, regardless of which worker
+/// evaluated the point.
 
 #include "report/json_parse.hpp"
 #include "sweep/sweep.hpp"
@@ -47,9 +48,10 @@ class WireError : public std::runtime_error {
 
 /// Decode one response line against the sweep configuration. For status 200
 /// the points are validated (index within [begin, end), every index present
-/// exactly once, axis values fmt15-equal to the grid's) and re-anchored to
-/// the grid's exact doubles. Throws WireError on any violation; non-200
-/// statuses decode to a ChunkResult carrying the status and error message.
+/// exactly once, axis values format_number-equal to the grid's) and
+/// re-anchored to the grid's exact doubles. Throws WireError on any
+/// violation; non-200 statuses decode to a ChunkResult carrying the status
+/// and error message.
 [[nodiscard]] ChunkResult decode_sweep_chunk(const std::string& line,
                                              const sweep::SweepConfig& cfg);
 

@@ -6,17 +6,45 @@
 /// Deliberately minimal: objects, arrays, scalars, correct escaping and
 /// number formatting. Structure errors (mismatched begin/end, missing keys)
 /// throw rather than emit invalid JSON.
+///
+/// Every artifact and wire line goes through this writer, so it is built to
+/// cost little per token: numbers are formatted with `std::to_chars` and
+/// tokens collect in a fixed block buffer that reaches the stream with one
+/// `os.write` per block.
 
+#include <cstddef>
 #include <iosfwd>
+#include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace stamp::report {
 
+/// A double in the canonical number format of every artifact: what
+/// `printf("%.15g")` prints, which is what JsonWriter emits. Two doubles are
+/// "the same value" to the byte-identity contracts exactly when their texts
+/// are equal. NaN and Inf come out as "nan" / "inf" (JsonWriter itself
+/// writes them as null).
+struct NumberText {
+  char data[32] = {};  ///< "-1.23456789012345e-308", the longest, is 22
+  std::size_t size = 0;
+  [[nodiscard]] std::string_view view() const noexcept { return {data, size}; }
+};
+
+[[nodiscard]] NumberText format_number(double v) noexcept;
+
 class JsonWriter {
  public:
-  explicit JsonWriter(std::ostream& os) : os_(&os) {}
+  /// Tokens collect in a buffer of this many bytes. It is handed to the
+  /// stream when it fills, when the root value completes, and on
+  /// destruction, so raw writes after a finished document (and a second
+  /// writer on the same stream) stay in program order.
+  static constexpr std::size_t kBufferBytes = 64 * 1024;
+
+  explicit JsonWriter(std::ostream& os);
+  ~JsonWriter();
 
   JsonWriter(const JsonWriter&) = delete;
   JsonWriter& operator=(const JsonWriter&) = delete;
@@ -56,13 +84,25 @@ class JsonWriter {
 
  private:
   enum class Frame { Object, Array };
+  struct Open {
+    Frame frame;
+    bool first;  ///< no member/element written yet
+  };
 
   void before_value();
-  void write_raw(std::string_view s);
+  /// Marks the root complete and flushes once the outermost value closes.
+  void after_value();
+  /// Room for `n` more bytes (n <= kBufferBytes), flushing if needed.
+  char* reserve(std::size_t n);
+  void put(char c) { *reserve(1) = c; ++len_; }
+  void put(std::string_view s);
+  void put_quoted(std::string_view s);
+  void flush();
 
   std::ostream* os_;
-  std::vector<Frame> stack_;
-  std::vector<bool> first_in_frame_;
+  std::unique_ptr<char[]> buf_;
+  std::size_t len_ = 0;
+  std::vector<Open> stack_;
   bool key_pending_ = false;
   bool root_written_ = false;
 };

@@ -1,5 +1,7 @@
 #include "sweep/gate.hpp"
 
+#include "report/json.hpp"
+
 #include <cmath>
 #include <ostream>
 #include <sstream>
@@ -10,14 +12,6 @@ namespace stamp::sweep {
 namespace {
 
 using report::JsonValue;
-
-/// The writer's number formatting, reused so point keys round-trip exactly.
-std::string fmt(double v) {
-  std::ostringstream ss;
-  ss.precision(15);
-  ss << v;
-  return ss.str();
-}
 
 /// Canonical "axis=value,..." key of one point's params object (members keep
 /// serialization order, which the schema fixes to grid-axis order).
@@ -30,7 +24,7 @@ std::string point_key(const JsonValue& point) {
     if (!key.empty()) key += ',';
     key += name;
     key += '=';
-    key += fmt(value.as_number());
+    key += report::format_number(value.as_number()).view();
   }
   return key;
 }
@@ -144,8 +138,9 @@ std::string GateIssue::describe() const {
       break;
     case Kind::Drift:
       ss << "drift in '" << metric << "' at " << point << ": baseline "
-         << fmt(baseline) << " -> fresh " << fmt(fresh) << " (rel "
-         << fmt(relative) << ")";
+         << report::format_number(baseline).view() << " -> fresh "
+         << report::format_number(fresh).view() << " (rel "
+         << report::format_number(relative).view() << ")";
       break;
     case Kind::SchemaMismatch:
       ss << "schema/axes/workload mismatch between baseline and fresh sweep";

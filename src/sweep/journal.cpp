@@ -90,17 +90,6 @@ bool unframe(std::string_view line, std::string_view& body) noexcept {
   return crc32(body) == want;
 }
 
-/// The artifact's canonical double formatting (JsonWriter, precision 15).
-/// Used to compare a parsed journal value against the grid's exact double:
-/// the two are "the same value" exactly when they serialize to the same
-/// bytes, which is also the only equality the byte-identity contract needs.
-std::string fmt15(double v) {
-  std::ostringstream ss;
-  ss.precision(15);
-  ss << v;
-  return ss.str();
-}
-
 void write_record_body(report::JsonWriter& w, const SweepRecord& rec) {
   w.begin_object();
   w.kv("index", static_cast<long long>(rec.index));
@@ -143,7 +132,9 @@ bool decode_record(const report::JsonValue& v, const SweepConfig& cfg,
     const std::vector<report::JsonValue>& items = params->items();
     if (items.size() != grid_params.size()) return false;
     for (std::size_t a = 0; a < items.size(); ++a)
-      if (fmt15(items[a].as_number()) != fmt15(grid_params[a])) return false;
+      if (report::format_number(items[a].as_number()).view() !=
+          report::format_number(grid_params[a]).view())
+        return false;
     rec.params = grid_params;
 
     const report::JsonValue* processes = v.find("processes");

@@ -207,7 +207,9 @@ int main(int argc, char** argv) {
                      "replay of the winning point) to FILE")
       .option_string("metrics", &metrics_path, "FILE",
                      "record the metrics registry as JSON to FILE")
-      .flag("stats", &stats, "print cache/steal statistics to stderr");
+      .flag("stats", &stats,
+            "print cache/steal statistics and the evaluate/write "
+            "wall-clock split to stderr");
   switch (cli.parse(argc, argv)) {
     case Cli::Parse::Help: return 0;
     case Cli::Parse::Error: return 2;
@@ -277,7 +279,12 @@ int main(int argc, char** argv) {
     opts.threads = threads;
 
     const stamp::Evaluator eval({.machine = cfg.base, .objective = cfg.objective});
+    using Clock = std::chrono::steady_clock;
+    const auto seconds_since = [](Clock::time_point t0) {
+      return std::chrono::duration<double>(Clock::now() - t0).count();
+    };
     stamp::sweep::SweepResult result;
+    const Clock::time_point evaluate_start = Clock::now();
     try {
       result = eval.sweep(cfg, opts);
     } catch (const std::exception& e) {
@@ -289,6 +296,7 @@ int main(int argc, char** argv) {
                   << "'; rerun with --resume to continue\n";
       return 4;
     }
+    const double evaluate_s = seconds_since(evaluate_start);
 
     if (result.cancelled) {
       std::cerr << "stamp_sweep: cancelled by signal after "
@@ -301,6 +309,7 @@ int main(int argc, char** argv) {
       return 3;
     }
 
+    const Clock::time_point write_start = Clock::now();
     if (out_path.empty() || out_path == "-") {
       stamp::sweep::write_json(result, std::cout);
     } else {
@@ -312,6 +321,7 @@ int main(int argc, char** argv) {
       stamp::sweep::write_json(result, writer.stream());
       writer.commit();
     }
+    const double write_s = seconds_since(write_start);
 
     if (!trace_path.empty()) {
       replay_winner(cfg, result);
@@ -336,7 +346,8 @@ int main(int argc, char** argv) {
                 << result.stats.cache_evictions << " evictions, "
                 << result.stats.pool_steals << " steals, "
                 << result.stats.resumed_points << " resumed, "
-                << result.stats.journaled_points << " journaled\n";
+                << result.stats.journaled_points << " journaled, evaluate_s="
+                << evaluate_s << " write_s=" << write_s << "\n";
     }
   } catch (const std::exception& e) {
     std::cerr << "stamp_sweep: " << e.what() << "\n";
