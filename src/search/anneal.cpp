@@ -50,7 +50,7 @@ class PointEval {
     if (it == memo_.end()) {
       sweep::SweepRecord rec;
       const std::span<sweep::SweepRecord> one(&rec, 1);
-      sweep::BatchEvaluator evaluator(cfg_, cache_, opts_,
+      sweep::BatchEvaluator evaluator(cfg_, &cache_, opts_,
                                       /*record_offset=*/index);
       evaluator.run(nullptr, index, index + 1, one);
       if (rec.processes == 0) return std::nullopt;  // cancelled

@@ -149,7 +149,7 @@ class BnbEngine {
     for (std::size_t i = 0; i < count; ++i) leaf_[i].processes = 0;
 
     const std::span<sweep::SweepRecord> records(leaf_.data(), count);
-    sweep::BatchEvaluator eval(cfg_, cache_, eval_opts_,
+    sweep::BatchEvaluator eval(cfg_, &cache_, eval_opts_,
                                /*record_offset=*/base);
     eval.run(count >= kPoolThreshold ? pool_ : nullptr, base, base + count,
              records);

@@ -106,11 +106,10 @@ SearchResult search_exhaustive(const SearchRequest& request,
   // The oracle holds the whole grid's records at once (like a sweep run) —
   // fine for the test grids it exists for, deliberate for large ones.
   std::vector<sweep::SweepRecord> records(total);
-  sweep::CostCache cache(sweep::cache_shards(pool),
-                         cfg.cache_entries_per_shard);
+  std::optional<sweep::CostCache> cache = sweep::grid_cache(cfg, pool);
   sweep::SweepOptions opts;
   opts.cancel = request.cancel;
-  sweep::BatchEvaluator eval(cfg, cache, opts);
+  sweep::BatchEvaluator eval(cfg, cache ? &*cache : nullptr, opts);
   eval.run(pool, 0, total, records);
 
   // Serial argmin scan in index order: identical incumbent history (and

@@ -105,7 +105,7 @@ std::string ServeEngine::handle_evaluate(const ServeRequest& request,
   std::vector<sweep::SweepRecord> records(1);
   sweep::SweepOptions options;
   options.cancel = cancel;
-  sweep::BatchEvaluator evaluator(config_, cache_, options,
+  sweep::BatchEvaluator evaluator(config_, &cache_, options,
                                   /*record_offset=*/index);
   static_cast<void>(evaluator.run(nullptr, index, index + 1, records));
   if (tripped(cancel))
@@ -124,7 +124,7 @@ std::string ServeEngine::handle_sweep_chunk(const ServeRequest& request,
   std::vector<sweep::SweepRecord> records(end - begin);
   sweep::SweepOptions options;
   options.cancel = cancel;
-  sweep::BatchEvaluator evaluator(config_, cache_, options,
+  sweep::BatchEvaluator evaluator(config_, &cache_, options,
                                   /*record_offset=*/begin);
   static_cast<void>(evaluator.run(nullptr, begin, end, records));
   if (tripped(cancel))

@@ -45,6 +45,13 @@ std::size_t cache_shards(const Pool* pool) noexcept {
   return pool != nullptr ? static_cast<std::size_t>(pool->threads()) * 8 : 16;
 }
 
+std::optional<CostCache> grid_cache(const SweepConfig& cfg, const Pool* pool) {
+  std::optional<CostCache> cache;
+  if (!cfg.grid.tuples_distinct())
+    cache.emplace(cache_shards(pool), cfg.cache_entries_per_shard);
+  return cache;
+}
+
 /// Per-thread reusable state. Everything is sized once (to kBatch) and reused
 /// for every sub-batch the thread processes; the vectors only ever grow, so
 /// the hot path performs no allocation once warm. `owner` ties the cached
@@ -63,6 +70,24 @@ struct BatchEvaluator::Scratch {
   bool machine_valid = false;
   /// Index of `cp` in `cps` for the current sub-batch (-1 = not registered).
   int cp_slot = -1;
+
+  // The placement memo: `uniform_placement_cost(n)` reads only the machine,
+  // the profile (κ), the strategy and n, so its result is kept per candidate
+  // n while those stay the same. `memo_tag` names the current (machine, κ
+  // bits, strategy) key; `setup_current` bumps it whenever the key changes,
+  // which invalidates every entry at once without touching them. Tags only
+  // grow, and 0 is never current, so a fresh entry is never taken as valid.
+  struct MemoEntry {
+    std::uint64_t tag = 0;
+    PointCost cost{};
+  };
+  std::vector<MemoEntry> memo;  ///< indexed by candidate process count n
+  std::uint64_t memo_tag = 0;
+  std::uint64_t memo_kappa_bits = 0;
+  PlacementStrategy memo_strategy = PlacementStrategy::FillFirst;
+
+  /// Points this thread priced without a cache (cache == nullptr).
+  std::uint64_t uncached = 0;
 
   // Structure-of-arrays staging for one sub-batch.
   std::vector<double> soa;               ///< axis-major decode (naxes × m)
@@ -88,11 +113,11 @@ struct BatchEvaluator::Scratch {
   std::vector<double> solo_power;
 };
 
-BatchEvaluator::BatchEvaluator(const SweepConfig& cfg, CostCache& cache,
+BatchEvaluator::BatchEvaluator(const SweepConfig& cfg, CostCache* cache,
                                const SweepOptions& options,
                                std::size_t record_offset)
     : cfg_(&cfg),
-      cache_(&cache),
+      cache_(cache),
       options_(options),
       id_(next_evaluator_id()),
       offset_(record_offset),
@@ -167,12 +192,17 @@ std::uint64_t BatchEvaluator::run_range(std::size_t begin, std::size_t end,
                                         std::span<SweepRecord> records,
                                         Failure& failure) {
   Scratch& sc = scratch();
+  const std::uint64_t uncached_before = sc.uncached;
   std::uint64_t journaled = 0;
   for (std::size_t b = begin; b < end; b += kBatch) {
     if (options_.cancel != nullptr && options_.cancel->cancelled()) break;
     const std::size_t e = std::min(end, b + kBatch);
     journaled += run_subbatch(b, e, records, failure, sc);
   }
+  // One shared add per claimed range, not per point.
+  if (sc.uncached != uncached_before)
+    uncached_.fetch_add(sc.uncached - uncached_before,
+                        std::memory_order_relaxed);
   return journaled;
 }
 
@@ -244,10 +274,17 @@ void BatchEvaluator::evaluate_one(std::size_t index, std::size_t slot,
 
   setup_current(rec, sc);
 
-  // One cache probe per point: all four metrics derive from the one
-  // memoized (T, E) pair.
-  const PointCost pc = cache_->get_or_compute(
-      rec.params, [&] { return compute_uniform_point(sc); });
+  // At most one cache probe per point: all four metrics derive from the one
+  // (T, E) pair. Without a cache (a grid whose tuples are all distinct, where
+  // no probe could hit) the point is priced directly.
+  PointCost pc;
+  if (cache_ != nullptr) {
+    pc = cache_->get_or_compute(rec.params,
+                                [&] { return compute_uniform_point(sc); });
+  } else {
+    pc = compute_uniform_point(sc);
+    ++sc.uncached;
+  }
   rec.feasible = pc.feasible;
   rec.processes = pc.processes;
   rec.metrics.D = metric_value(pc.cost, Objective::D);
@@ -309,34 +346,45 @@ void BatchEvaluator::setup_current(const SweepRecord& rec, Scratch& sc) const {
     }
     sc.machine_valid = true;
     sc.cp_slot = -1;  // new machine -> new classical-params group
-    return;           // setup_point resolved the per-point fields too
+    // setup_point resolved the per-point fields too.
+  } else {
+    // Machine unchanged: re-resolve only the point-varying fields, with the
+    // same validation (and error text) setup_point applies.
+    PointSetup& s = sc.setup;
+    s.profile = cfg_->profile;
+    if (ax_kappa_ >= 0)
+      s.profile.kappa = rec.params[static_cast<std::size_t>(ax_kappa_)];
+
+    int proc_bound = cfg_->processes;
+    if (ax_procs_ >= 0)
+      proc_bound = checked_axis_int(
+          rec.params[static_cast<std::size_t>(ax_procs_)], axes::kProcesses);
+    if (proc_bound < 1)
+      throw std::invalid_argument(
+          "sweep: processes axis value must be >= 1, got " +
+          std::to_string(proc_bound));
+    s.processes = std::min(proc_bound, s.machine.topology.total_threads());
+
+    int code = static_cast<int>(PlacementStrategy::FillFirst);
+    if (ax_place_ >= 0)
+      code = checked_axis_int(rec.params[static_cast<std::size_t>(ax_place_)],
+                              axes::kPlacement);
+    if (code < 0 || code > static_cast<int>(PlacementStrategy::Greedy))
+      throw std::invalid_argument("sweep: unknown placement strategy code " +
+                                  std::to_string(code));
+    s.strategy = static_cast<PlacementStrategy>(code);
   }
 
-  // Machine unchanged: re-resolve only the point-varying fields, with the
-  // same validation (and error text) setup_point applies.
-  PointSetup& s = sc.setup;
-  s.profile = cfg_->profile;
-  if (ax_kappa_ >= 0)
-    s.profile.kappa = rec.params[static_cast<std::size_t>(ax_kappa_)];
-
-  int proc_bound = cfg_->processes;
-  if (ax_procs_ >= 0)
-    proc_bound = checked_axis_int(
-        rec.params[static_cast<std::size_t>(ax_procs_)], axes::kProcesses);
-  if (proc_bound < 1)
-    throw std::invalid_argument(
-        "sweep: processes axis value must be >= 1, got " +
-        std::to_string(proc_bound));
-  s.processes = std::min(proc_bound, s.machine.topology.total_threads());
-
-  int code = static_cast<int>(PlacementStrategy::FillFirst);
-  if (ax_place_ >= 0)
-    code = checked_axis_int(rec.params[static_cast<std::size_t>(ax_place_)],
-                            axes::kPlacement);
-  if (code < 0 || code > static_cast<int>(PlacementStrategy::Greedy))
-    throw std::invalid_argument("sweep: unknown placement strategy code " +
-                                std::to_string(code));
-  s.strategy = static_cast<PlacementStrategy>(code);
+  // The placement memo stays valid while the machine, κ (bit for bit) and
+  // the strategy stay the same.
+  const PointSetup& s = sc.setup;
+  const auto kappa_bits = std::bit_cast<std::uint64_t>(s.profile.kappa);
+  if (!same || kappa_bits != sc.memo_kappa_bits ||
+      s.strategy != sc.memo_strategy) {
+    sc.memo_tag += 1;
+    sc.memo_kappa_bits = kappa_bits;
+    sc.memo_strategy = s.strategy;
+  }
 }
 
 PointCost BatchEvaluator::compute_uniform_point(Scratch& sc) const {
@@ -351,8 +399,15 @@ PointCost BatchEvaluator::compute_uniform_point(Scratch& sc) const {
 
   PointCost best{};
   bool have = false;
+  if (sc.memo.size() <= static_cast<std::size_t>(limit))
+    sc.memo.resize(static_cast<std::size_t>(limit) + 1);
   for (const int n : sc.candidates) {
-    const PointCost c = uniform_placement_cost(n, sc);
+    Scratch::MemoEntry& m = sc.memo[static_cast<std::size_t>(n)];
+    if (m.tag != sc.memo_tag) {
+      m.cost = uniform_placement_cost(n, sc);
+      m.tag = sc.memo_tag;
+    }
+    const PointCost& c = m.cost;
     const bool better_feasibility = c.feasible && !best.feasible;
     const bool same_feasibility = c.feasible == best.feasible;
     if (!have || better_feasibility ||

@@ -17,8 +17,14 @@
 ///  - consecutive points that share machine-axis values (the grid's slow
 ///    axes) reuse one validated `MachineModel` instead of copy+validate per
 ///    point;
-///  - the `CostCache` is probed once per point (all four metrics derive from
-///    the one memoized `(T, E)` pair), not once per metric;
+///  - a grid whose tuples are all distinct (`ParamGrid::tuples_distinct`) is
+///    priced with no `CostCache` at all, since no probe could ever hit; any
+///    other grid probes its cache once per point (all four metrics derive
+///    from the one memoized `(T, E)` pair), not once per metric;
+///  - the price of each candidate process count is memoized per thread while
+///    the machine, κ and strategy stay the same, so a point whose process
+///    bound is 64 reuses the candidates n <= 16 its bound-16 neighbour
+///    priced;
 ///  - uniform-profile placements (the only kind a sweep evaluates — every
 ///    candidate strong-scales one total profile into n identical processes)
 ///    are priced by `process_cost_in_group` over a per-group-size table
@@ -44,8 +50,10 @@
 #include "sweep/pool.hpp"
 #include "sweep/sweep.hpp"
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
 
 namespace stamp::sweep {
@@ -53,6 +61,13 @@ namespace stamp::sweep {
 /// `CostCache` shard count for an evaluation on `pool` (nullptr = the
 /// calling thread alone): enough shards that workers rarely share a lock.
 [[nodiscard]] std::size_t cache_shards(const Pool* pool) noexcept;
+
+/// The cost cache for evaluating all of `cfg`'s grid on `pool`: none when
+/// every tuple is distinct (`ParamGrid::tuples_distinct`), since no probe
+/// could hit; otherwise `cache_shards(pool)` shards bounded by
+/// `cfg.cache_entries_per_shard`. The decision reads only the grid's values.
+[[nodiscard]] std::optional<CostCache> grid_cache(const SweepConfig& cfg,
+                                                  const Pool* pool);
 
 /// Evaluates contiguous grid-index ranges into a pre-sized record array.
 /// One instance serves all workers of a sweep: per-thread scratch (SoA
@@ -67,11 +82,14 @@ class BatchEvaluator {
   static constexpr std::size_t kBatch = 256;
 
   /// `cfg`, `cache`, and everything `options` points at must outlive the
-  /// evaluator. `record_offset` rebases the record array: grid index `i`
-  /// lands in `records[i - record_offset]`. The sweep passes 0 with a
-  /// full-grid array; the guided search prices contiguous leaf windows into
-  /// block-local buffers by offsetting at the window's first index.
-  BatchEvaluator(const SweepConfig& cfg, CostCache& cache,
+  /// evaluator. `cache` may be nullptr: every point is then priced directly,
+  /// which is what a grid whose tuples are all distinct wants (see
+  /// `ParamGrid::tuples_distinct`). `record_offset` rebases the record
+  /// array: grid index `i` lands in `records[i - record_offset]`. The sweep
+  /// passes 0 with a full-grid array; the guided search prices contiguous
+  /// leaf windows into block-local buffers by offsetting at the window's
+  /// first index.
+  BatchEvaluator(const SweepConfig& cfg, CostCache* cache,
                  const SweepOptions& options, std::size_t record_offset = 0);
 
   /// Evaluate grid indices [begin, end) into `records` (indexed by grid
@@ -89,6 +107,12 @@ class BatchEvaluator {
   /// kill-and-resume deterministic.
   std::uint64_t run(Pool* pool, std::size_t begin, std::size_t end,
                     std::span<SweepRecord> records);
+
+  /// Points priced without a cache over every `run` so far: each is the miss
+  /// a cache would have counted. Always 0 when the evaluator has a cache.
+  [[nodiscard]] std::uint64_t uncached_points() const noexcept {
+    return uncached_.load(std::memory_order_relaxed);
+  }
 
  private:
   struct Scratch;
@@ -110,8 +134,9 @@ class BatchEvaluator {
                           std::span<SweepRecord> records, Scratch& sc);
 
   const SweepConfig* cfg_;
-  CostCache* cache_;
+  CostCache* cache_;  ///< nullptr = price every point directly
   SweepOptions options_;
+  std::atomic<std::uint64_t> uncached_{0};  ///< summed once per claimed range
   std::uint64_t id_;   ///< distinguishes evaluators sharing a thread's scratch
   std::size_t offset_;  ///< records[] rebase: grid index i -> records[i - offset_]
   std::size_t naxes_;

@@ -43,6 +43,13 @@ constexpr std::size_t probe_start(std::uint64_t hash,
 
 constexpr std::size_t kInitialSlots = 16;
 
+/// Count one event on a shard counter. The caller holds the shard lock, so
+/// a load and a store suffice.
+void bump(std::atomic<std::uint64_t>& counter) noexcept {
+  counter.store(counter.load(std::memory_order_relaxed) + 1,
+                std::memory_order_relaxed);
+}
+
 }  // namespace
 
 CostCache::CostCache(std::size_t shards, std::size_t max_entries_per_shard)
@@ -158,7 +165,7 @@ void CostCache::evict_oldest_locked(Shard& shard) {
   --shard.live;
   shard.free.push_back(victim);  // the arena span is reused with the entry
 
-  evictions_.fetch_add(1, std::memory_order_relaxed);
+  bump(shard.evictions);
   if (obs::metrics_enabled())
     obs::MetricsRegistry::global().counter("cache.evictions").add();
 }
@@ -257,7 +264,7 @@ PointCost CostCache::get_or_compute(std::span<const double> key,
     if (found >= 0) {
       const Entry& e = shard.entries[static_cast<std::size_t>(found)];
       if (!ttl_armed || !stale(e, now_ns())) {
-        hits_.fetch_add(1, std::memory_order_relaxed);
+        bump(shard.hits);
         if (obs::metrics_enabled())
           obs::MetricsRegistry::global().counter("cache.hits").add();
         return e.value;
@@ -281,7 +288,7 @@ PointCost CostCache::get_or_compute(std::span<const double> key,
     Entry& e = shard.entries[static_cast<std::size_t>(found)];
     const std::uint64_t now = ttl_armed ? now_ns() : 0;
     if (!ttl_armed || !stale(e, now)) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
+      bump(shard.hits);
       if (obs::metrics_enabled())
         obs::MetricsRegistry::global().counter("cache.hits").add();
       return e.value;
@@ -291,22 +298,22 @@ PointCost CostCache::get_or_compute(std::span<const double> key,
     // stamp, and counts a hit above), so `expirations` stays exact.
     e.value = value;
     e.stamp = now;
-    expirations_.fetch_add(1, std::memory_order_relaxed);
-    misses_.fetch_add(1, std::memory_order_relaxed);
+    bump(shard.expirations);
+    bump(shard.misses);
     if (obs::metrics_enabled()) {
       obs::MetricsRegistry::global().counter("cache.expirations").add();
       obs::MetricsRegistry::global().counter("cache.misses").add();
     }
     return e.value;
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
+  bump(shard.misses);
   if (obs::metrics_enabled())
     obs::MetricsRegistry::global().counter("cache.misses").add();
   if (admission_ && shard.live >= max_entries_per_shard_ &&
       !door_admit_locked(shard, hash)) {
     // Turned away: the caller still gets the computed value, the working
     // set keeps its slot, and the key is remembered for a second chance.
-    admission_rejections_.fetch_add(1, std::memory_order_relaxed);
+    bump(shard.admission_rejections);
     if (obs::metrics_enabled())
       obs::MetricsRegistry::global()
           .counter("cache.admission_rejections")
@@ -317,24 +324,30 @@ PointCost CostCache::get_or_compute(std::span<const double> key,
                        ttl_armed ? now_ns() : 0);
 }
 
-std::uint64_t CostCache::hits() const noexcept {
-  return hits_.load(std::memory_order_relaxed);
+std::uint64_t CostCache::total(
+    std::atomic<std::uint64_t> Shard::*counter) const noexcept {
+  std::uint64_t sum = 0;
+  for (const auto& s : shards_)
+    sum += ((*s).*counter).load(std::memory_order_relaxed);
+  return sum;
 }
 
+std::uint64_t CostCache::hits() const noexcept { return total(&Shard::hits); }
+
 std::uint64_t CostCache::misses() const noexcept {
-  return misses_.load(std::memory_order_relaxed);
+  return total(&Shard::misses);
 }
 
 std::uint64_t CostCache::evictions() const noexcept {
-  return evictions_.load(std::memory_order_relaxed);
+  return total(&Shard::evictions);
 }
 
 std::uint64_t CostCache::expirations() const noexcept {
-  return expirations_.load(std::memory_order_relaxed);
+  return total(&Shard::expirations);
 }
 
 std::uint64_t CostCache::admission_rejections() const noexcept {
-  return admission_rejections_.load(std::memory_order_relaxed);
+  return total(&Shard::admission_rejections);
 }
 
 std::size_t CostCache::entry_capacity() const {
@@ -368,12 +381,12 @@ void CostCache::clear() {
     s->fifo_head = 0;
     s->fifo_size = 0;
     s->door.clear();
+    s->hits.store(0, std::memory_order_relaxed);
+    s->misses.store(0, std::memory_order_relaxed);
+    s->evictions.store(0, std::memory_order_relaxed);
+    s->expirations.store(0, std::memory_order_relaxed);
+    s->admission_rejections.store(0, std::memory_order_relaxed);
   }
-  hits_.store(0, std::memory_order_relaxed);
-  misses_.store(0, std::memory_order_relaxed);
-  evictions_.store(0, std::memory_order_relaxed);
-  expirations_.store(0, std::memory_order_relaxed);
-  admission_rejections_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace stamp::sweep

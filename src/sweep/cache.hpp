@@ -6,9 +6,14 @@
 /// four derive from one `(time, energy)` pair — so the expensive placement
 /// evaluation is keyed on the canonical parameter tuple, computed once, and
 /// probed once per point by the batch evaluator; points that repeat a tuple
-/// (duplicate axis values, resume replays) hit instead of recomputing. The
-/// table is sharded by key hash so pool workers evaluating different points
-/// rarely contend on a lock.
+/// (duplicate axis values, resume replays) hit instead of recomputing. Only
+/// callers whose points can repeat a tuple use it: the serve engine (its
+/// requests repeat), branch-and-bound and annealing search, and sweeps or
+/// exhaustive searches over a grid that is not `ParamGrid::tuples_distinct`.
+/// A grid whose tuples are all distinct is priced without one. The table is
+/// sharded by key hash, and each shard keeps its own counters, so pool
+/// workers evaluating different points rarely contend on a lock or a cache
+/// line.
 ///
 /// Keys are canonicalized before hashing: `-0.0` collapses to `0.0` (they
 /// are the same grid value; a bitwise key would silently defeat memoization)
@@ -150,8 +155,18 @@ class CostCache {
     std::uint64_t stamp = 0;
   };
 
-  struct Shard {
+  /// Aligned so that two shards never share a cache line: each worker
+  /// writes only the shard its key hashes to, counters included.
+  struct alignas(64) Shard {
     std::mutex mutex;
+    /// Lookup accounting. Written only under `mutex` (a plain load + store,
+    /// no read-modify-write); atomic so the accessors can sum the shards
+    /// without taking every lock.
+    std::atomic<std::uint64_t> hits{0};
+    std::atomic<std::uint64_t> misses{0};
+    std::atomic<std::uint64_t> evictions{0};
+    std::atomic<std::uint64_t> expirations{0};
+    std::atomic<std::uint64_t> admission_rejections{0};
     /// Open-addressing slot array (power-of-two size): kEmptySlot,
     /// kTombstone, or an index into `entries`.
     std::vector<std::int32_t> slots;
@@ -195,16 +210,15 @@ class CostCache {
   /// turn away and remember the key (first miss). Lock held.
   [[nodiscard]] bool door_admit_locked(Shard& shard, std::uint64_t hash);
 
+  /// Sum of one per-shard counter over every shard.
+  [[nodiscard]] std::uint64_t total(
+      std::atomic<std::uint64_t> Shard::*counter) const noexcept;
+
   std::vector<std::unique_ptr<Shard>> shards_;
   std::size_t max_entries_per_shard_ = 0;
   std::uint64_t ttl_ns_ = 0;
   bool admission_ = false;
   std::uint64_t (*clock_)() = nullptr;
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> evictions_{0};
-  std::atomic<std::uint64_t> expirations_{0};
-  std::atomic<std::uint64_t> admission_rejections_{0};
 };
 
 }  // namespace stamp::sweep

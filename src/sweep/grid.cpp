@@ -30,6 +30,20 @@ std::size_t ParamGrid::size() const noexcept {
   return product;
 }
 
+bool ParamGrid::tuples_distinct() const {
+  std::vector<double> sorted;
+  for (const GridAxis& a : axes_) {
+    sorted = a.values;
+    if (!std::all_of(sorted.begin(), sorted.end(),
+                     [](double v) { return std::isfinite(v); }))
+      return false;
+    std::sort(sorted.begin(), sorted.end());
+    if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end())
+      return false;
+  }
+  return true;
+}
+
 std::vector<double> ParamGrid::point(std::size_t index) const {
   std::vector<double> out(axes_.size());
   decode_into(index, out);

@@ -46,6 +46,14 @@ class ParamGrid {
   /// axes — an empty grid has nothing to evaluate).
   [[nodiscard]] std::size_t size() const noexcept;
 
+  /// True when no two grid points share a parameter tuple, so a cost cache
+  /// keyed on the tuple can never hit: every axis value is finite and no axis
+  /// repeats a value under `==`. Comparing with `==` makes `-0.0` and `0.0`
+  /// the same value, as the cache's canonical key does; a NaN or Inf value
+  /// makes the answer false, so such grids keep the cache and its rejection
+  /// of non-finite keys.
+  [[nodiscard]] bool tuples_distinct() const;
+
   /// Decode point `index` into one value per axis, in axis order.
   /// Throws std::out_of_range for `index >= size()`.
   [[nodiscard]] std::vector<double> point(std::size_t index) const;

@@ -232,9 +232,14 @@ ResumeState ResumeState::load(const std::string& path,
   if (!is)
     throw std::runtime_error("ResumeState: cannot read journal '" + path +
                              "'");
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  const std::string text = buf.str();
+  // One read into a string sized from the file; the frames are parsed in
+  // place. Something that is not a regular file reads as empty, and a file
+  // that shrank since it was sized keeps what was read.
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::file_size(path, ec);
+  std::string text(ec ? 0 : static_cast<std::size_t>(size), '\0');
+  is.read(text.data(), static_cast<std::streamsize>(text.size()));
+  text.resize(static_cast<std::size_t>(is.gcount()));
 
   ResumeState out;
   out.completed_.assign(cfg.grid.size(), 0);

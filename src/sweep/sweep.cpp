@@ -97,11 +97,12 @@ SweepResult make_result_shell(const SweepConfig& cfg) {
 }
 
 /// Replay the resume state's completed points into the result (verbatim —
-/// byte-identical serialization is the contract) and pre-seed the cost cache
-/// with their memoized placement evaluations, so a still-missing point that
-/// shares a replayed point's canonical parameter tuple hits instead of
-/// recomputing.
-void seed_from_resume(SweepResult& out, CostCache& cache,
+/// byte-identical serialization is the contract) and, when the sweep has a
+/// cost cache, pre-seed it with their memoized placement evaluations, so a
+/// still-missing point that shares a replayed point's canonical parameter
+/// tuple hits instead of recomputing. Without a cache (all tuples distinct)
+/// no missing point can share a replayed tuple, so there is nothing to seed.
+void seed_from_resume(SweepResult& out, CostCache* cache,
                       const ResumeState& resume) {
   if (resume.grid_points() != out.records.size())
     throw std::invalid_argument(
@@ -112,9 +113,11 @@ void seed_from_resume(SweepResult& out, CostCache& cache,
     if (!resume.completed(i)) continue;
     const SweepRecord& rec = resume.record(i);
     out.records[i] = rec;
-    const PointCost pc{Cost{rec.metrics.D, rec.metrics.PDP}, rec.feasible,
-                       rec.processes};
-    (void)cache.get_or_compute(rec.params, [&] { return pc; });
+    if (cache != nullptr) {
+      const PointCost pc{Cost{rec.metrics.D, rec.metrics.PDP}, rec.feasible,
+                         rec.processes};
+      (void)cache->get_or_compute(rec.params, [&] { return pc; });
+    }
     ++out.stats.resumed_points;
   }
   if (out.stats.resumed_points > 0 && obs::metrics_enabled())
@@ -186,8 +189,10 @@ SweepConfig SweepConfig::large() {
       .axis(std::string(axes::kPlacement), {0, 1, 2})
       .axis(std::string(axes::kProcesses), {16, 64});
   c.workload = "uniform-comm-large";
-  // Over a million unique tuples: bound the cache so memoization does not
-  // grow with the grid (evictions change recompute rates, never results).
+  // Every tuple is distinct, so this sweep builds no cache at all; the bound
+  // applies to grids derived from this one that repeat an axis value (and
+  // then keeps memoization from growing with the grid: evictions change
+  // recompute rates, never results).
   c.cache_entries_per_shard = 4096;
   return c;
 }
@@ -198,18 +203,24 @@ SweepResult run_sweep(const SweepConfig& cfg, Pool* pool,
   span.arg("points", static_cast<double>(cfg.grid.size()));
   span.arg("threads", pool != nullptr ? pool->threads() : 1.0);
   SweepResult out = make_result_shell(cfg);
-  CostCache cache(cache_shards(pool), cfg.cache_entries_per_shard);
+  std::optional<CostCache> cache = grid_cache(cfg, pool);
+  CostCache* const cache_ptr = cache ? &*cache : nullptr;
   if (options.resume != nullptr)
-    seed_from_resume(out, cache, *options.resume);
+    seed_from_resume(out, cache_ptr, *options.resume);
   const std::uint64_t steals_before = pool != nullptr ? pool->steals() : 0;
   // Records are written by grid index into a pre-sized vector, so completion
   // order (which is scheduling-dependent) never shows in the output.
-  BatchEvaluator evaluator(cfg, cache, options);
+  BatchEvaluator evaluator(cfg, cache_ptr, options);
   out.stats.journaled_points =
       evaluator.run(pool, 0, out.records.size(), out.records);
-  out.stats.cache_hits = cache.hits();
-  out.stats.cache_misses = cache.misses();
-  out.stats.cache_evictions = cache.evictions();
+  out.stats.cache_bypassed = !cache;
+  if (cache) {
+    out.stats.cache_hits = cache->hits();
+    out.stats.cache_misses = cache->misses();
+    out.stats.cache_evictions = cache->evictions();
+  } else {
+    out.stats.cache_misses = evaluator.uncached_points();
+  }
   if (pool != nullptr) out.stats.pool_steals = pool->steals() - steals_before;
   out.cancelled = options.cancel != nullptr && options.cancel->cancelled();
   if (out.cancelled) {

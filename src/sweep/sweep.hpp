@@ -12,10 +12,12 @@
 /// strong-scaled across candidate process counts (1, 2, 4, ... up to the
 /// point's hardware thread count), each candidate's placement is evaluated,
 /// and the best count under the sweep objective wins. All four selection
-/// metrics (D, PDP, EDP, ED²P) derive from that one winning (T, E) pair —
-/// so the evaluation is memoized per canonical parameter tuple and probed
-/// once per point. Records are stored by grid index, which makes an N-thread
-/// sweep byte-identical to a 1-thread sweep.
+/// metrics (D, PDP, EDP, ED²P) derive from that one winning (T, E) pair.
+/// When the grid repeats a tuple, that pair is memoized per canonical
+/// parameter tuple and the cache is probed once per point; when every tuple
+/// is distinct, no probe could hit and the sweep runs without a cache.
+/// Records are stored by grid index, which makes an N-thread sweep
+/// byte-identical to a 1-thread sweep.
 ///
 /// Evaluation itself runs through the batch evaluator (batch.hpp): workers
 /// claim contiguous index ranges, stream-decode them into structure-of-arrays
@@ -87,11 +89,10 @@ struct SweepConfig {
 
   std::string workload = "uniform-comm";
 
-  /// Bound on each CostCache shard (0 = unbounded). Cartesian grids rarely
-  /// repeat a full parameter tuple, so huge streaming grids should bound the
-  /// cache instead of letting memoization grow with the grid; the canonical
-  /// baseline grids stay unbounded (full memoization is part of their
-  /// contract). Eviction never changes results — only recompute rates.
+  /// Bound on each CostCache shard (0 = unbounded). Only grids that repeat a
+  /// tuple build a cache (`ParamGrid::tuples_distinct`); a huge streaming
+  /// grid with repeats should bound it instead of letting memoization grow
+  /// with the grid. Eviction never changes results — only recompute rates.
   std::size_t cache_entries_per_shard = 0;
 
   /// The checked-in baseline configuration: a 576-point grid
@@ -105,7 +106,8 @@ struct SweepConfig {
   /// A 1,179,648-point streaming grid (the canonical machine axes refined
   /// with linspace, crossed with κ, placement and process-bound axes) for
   /// scaling benchmarks: large enough that per-point work dominates pool
-  /// overhead, never materialized (decoded on the fly), cache bounded.
+  /// overhead, never materialized (decoded on the fly). Its tuples are all
+  /// distinct, so it runs without a cache.
   [[nodiscard]] static SweepConfig large();
 };
 
@@ -142,10 +144,16 @@ struct SweepRecord {
   friend bool operator==(const SweepRecord&, const SweepRecord&) = default;
 };
 
+/// `cache_hits + cache_misses` is the number of points priced this run plus
+/// the resumed points seeded into the cache. A sweep without a cache
+/// (`cache_bypassed`) counts every point it priced as a miss.
 struct SweepStats {
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   std::uint64_t cache_evictions = 0;
+  /// True when every tuple of the grid is distinct, so the sweep priced each
+  /// point directly instead of through a CostCache that could never hit.
+  bool cache_bypassed = false;
   std::uint64_t pool_steals = 0;
   std::uint64_t resumed_points = 0;    ///< replayed verbatim from a journal
   std::uint64_t journaled_points = 0;  ///< appended to the journal this run
@@ -180,8 +188,9 @@ struct SweepOptions {
   /// unsynced tail, never the whole run.
   Journal* journal = nullptr;
   /// Replay state from a previous journal: completed points are copied into
-  /// the result verbatim (byte-identical serialization) and their memoized
-  /// costs pre-seed the CostCache; only missing points are evaluated.
+  /// the result verbatim (byte-identical serialization) and, when the grid
+  /// repeats a tuple, their memoized costs pre-seed the CostCache; only
+  /// missing points are evaluated.
   const ResumeState* resume = nullptr;
   /// Per-point watchdog (0 = none): an evaluation that takes longer than
   /// this fails the sweep with fault::DeadlineExceeded once it returns,

@@ -129,8 +129,14 @@ TEST(Evaluator, TraceCoversSimulatorPoolAndCacheLayers) {
   Evaluator::set_tracing(true);
   Evaluator::clear_trace();
 
-  // Sweep on a pool: sweep + pool + cache spans.
+  // Sweep on a pool: sweep + pool spans. The tiny grid's tuples are all
+  // distinct, so it runs without a cache; a grid that repeats a value keeps
+  // one and adds the cache spans.
   (void)eval.sweep(sweep::SweepConfig::tiny(), sweep::SweepOptions{.threads = 2});
+  sweep::SweepConfig repeated = sweep::SweepConfig::tiny();
+  repeated.grid = sweep::ParamGrid{};
+  repeated.grid.axis(std::string(sweep::axes::kCores), {2, 4, 2});
+  (void)eval.sweep(repeated, sweep::SweepOptions{.threads = 2});
   // Execute and replay a run: runtime + sim spans.
   const RunOutcome outcome = eval.run(2, Distribution::IntraProc, tiny_body);
   (void)eval.simulate_run(outcome.run, outcome.placement);

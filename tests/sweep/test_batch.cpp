@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <filesystem>
 #include <fstream>
@@ -197,6 +198,59 @@ TEST(Batch, DuplicateAxisValuesHitTheCacheWithoutChangingRecords) {
     EXPECT_EQ(r.records[i], evaluate_point_reference(cfg, i)) << "index " << i;
 }
 
+// The per-thread placement memo reuses the price of a candidate process
+// count across points with the same machine, κ and strategy. Process bounds
+// {16, 64, 32, 16} make every point after the first of a run reuse the
+// candidates its neighbours priced (with the repeated 16 the grid keeps its
+// cache; without it the sweep has none), κ includes 0, all three strategies
+// run, and both grids end in a ragged sub-batch.
+TEST(Batch, PlacementMemoMatchesTheReferenceAcrossPoolWidths) {
+  for (const std::vector<double>& procs :
+       {std::vector<double>{16, 64, 32, 16}, std::vector<double>{16, 64, 32}}) {
+    SweepConfig cfg = SweepConfig::tiny();
+    cfg.grid = ParamGrid{};
+    cfg.grid.axis(std::string(axes::kCores), {4, 16})
+        .axis(std::string(axes::kThreadsPerCore), {2, 4})
+        .axis(std::string(axes::kEllE), linspace(12, 40, 3))
+        .axis(std::string(axes::kKappa), {0, 3.5, 8})
+        .axis(std::string(axes::kPlacement), {0, 1, 2})
+        .axis(std::string(axes::kProcesses), procs);
+    ASSERT_NE(cfg.grid.size() % BatchEvaluator::kBatch, 0u);
+    ASSERT_GT(cfg.grid.size(), BatchEvaluator::kBatch);
+    for (const int width : {1, 4}) {
+      Pool pool(width);
+      const SweepResult r = run_sweep(cfg, &pool);
+      EXPECT_EQ(r.stats.cache_bypassed, cfg.grid.tuples_distinct());
+      ASSERT_EQ(r.records.size(), cfg.grid.size());
+      for (std::size_t i = 0; i < cfg.grid.size(); ++i)
+        ASSERT_EQ(r.records[i], evaluate_point_reference(cfg, i))
+            << "procs " << procs.size() << " width " << width << " index "
+            << i;
+    }
+  }
+}
+
+// Evaluators that share a thread share its scratch. Two sweeps over the same
+// machine, κ and strategy but different workloads, priced one point at a
+// time in alternation, must never see each other's memoized prices.
+TEST(Batch, PlacementMemoDoesNotLeakAcrossEvaluators) {
+  const SweepConfig a = SweepConfig::tiny();
+  SweepConfig b = a;
+  b.profile.c_fp *= 3;
+  b.profile.m_s *= 2;
+  const SweepOptions options;
+  for (std::size_t i = 0; i < a.grid.size(); ++i) {
+    for (const SweepConfig* cfg : std::array<const SweepConfig*, 2>{&a, &b}) {
+      std::vector<SweepRecord> one(1);
+      BatchEvaluator evaluator(*cfg, nullptr, options, /*record_offset=*/i);
+      (void)evaluator.run(nullptr, i, i + 1, one);
+      EXPECT_EQ(evaluator.uncached_points(), 1u);
+      EXPECT_EQ(one.front(), evaluate_point_reference(*cfg, i))
+          << (cfg == &a ? "a" : "b") << " index " << i;
+    }
+  }
+}
+
 // The TTL/admission cache mode must be invisible to sweeps: a batch run
 // through a CacheOptions-constructed cache with the defaults (no TTL, no
 // admission) reproduces the classic sweep records bit for bit — this is the
@@ -209,7 +263,7 @@ TEST(Batch, CacheOptionsDefaultsLeaveSweepRecordsBitIdentical) {
   CostCache cache{CacheOptions{}};
   std::vector<SweepRecord> records(cfg.grid.size());
   const SweepOptions options;
-  BatchEvaluator evaluator(cfg, cache, options);
+  BatchEvaluator evaluator(cfg, &cache, options);
   (void)evaluator.run(nullptr, 0, cfg.grid.size(), records);
   ASSERT_EQ(records.size(), classic.records.size());
   for (std::size_t i = 0; i < records.size(); ++i)

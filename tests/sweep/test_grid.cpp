@@ -41,6 +41,32 @@ TEST(Grid, EveryPointIsDistinct) {
   EXPECT_EQ(seen.size(), g.size());
 }
 
+// The predicate that decides whether a sweep builds a cost cache: true only
+// when no two points can share a tuple under the cache's key equality.
+TEST(Grid, TuplesDistinctOnlyWithoutRepeatsOrNonFiniteValues) {
+  ParamGrid distinct;
+  distinct.axis("a", {3, 1, 2}).axis("b", {-0.5, 0.0, 7});
+  EXPECT_TRUE(distinct.tuples_distinct());
+  EXPECT_TRUE(ParamGrid{}.tuples_distinct());  // no points at all
+
+  ParamGrid repeated;
+  repeated.axis("a", {1, 2}).axis("b", {16, 64, 32, 16});
+  EXPECT_FALSE(repeated.tuples_distinct());
+
+  // -0.0 == 0.0: the cache keys them as one value, so they repeat.
+  ParamGrid zeros;
+  zeros.axis("a", {1, 2}).axis("b", {-0.0, 0.0});
+  EXPECT_FALSE(zeros.tuples_distinct());
+
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    ParamGrid g;
+    g.axis("a", {1, 2}).axis("b", {0, bad});
+    EXPECT_FALSE(g.tuples_distinct()) << "value " << bad;
+  }
+}
+
 TEST(Grid, ValueLooksUpByAxisName) {
   ParamGrid g;
   g.axis("cores", {2, 4}).axis("kappa", {0, 8});

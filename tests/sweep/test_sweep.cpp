@@ -1,5 +1,7 @@
 #include "sweep/sweep.hpp"
 
+#include "sweep/batch.hpp"
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -66,6 +68,46 @@ TEST(Sweep, PooledCacheAccountsForEveryQuery) {
   // and at least one miss per distinct tuple is unavoidable.
   EXPECT_EQ(r.stats.cache_hits + r.stats.cache_misses, points);
   EXPECT_GE(r.stats.cache_misses, points);
+}
+
+// A grid whose tuples are all distinct is priced without a cache, so even a
+// cache bound far below its point count evicts nothing, and every priced
+// point still counts as exactly one miss.
+TEST(Sweep, DistinctGridBypassesABoundedCache) {
+  SweepConfig cfg = SweepConfig::canonical();
+  cfg.cache_entries_per_shard = 1;
+  ASSERT_TRUE(cfg.grid.tuples_distinct());
+  const auto points = static_cast<std::uint64_t>(cfg.grid.size());
+  for (const int width : {1, 4}) {
+    Pool pool(width);
+    // A cache this small would have to evict.
+    ASSERT_GT(points, cfg.cache_entries_per_shard * cache_shards(&pool));
+    const SweepResult r = run_sweep(cfg, &pool);
+    EXPECT_TRUE(r.stats.cache_bypassed) << "width " << width;
+    EXPECT_EQ(r.stats.cache_evictions, 0u) << "width " << width;
+    EXPECT_EQ(r.stats.cache_hits + r.stats.cache_misses, points)
+        << "width " << width;
+  }
+}
+
+// A NaN axis value makes the grid keep its cache, whose key check rejects
+// the point with the same error a sweep has always raised.
+TEST(Sweep, NanKappaStillFailsThroughTheCacheKeyCheck) {
+  SweepConfig cfg = SweepConfig::tiny();
+  cfg.grid = ParamGrid{};
+  cfg.grid.axis(std::string(axes::kCores), {2, 4})
+      .axis(std::string(axes::kKappa),
+            {0, std::numeric_limits<double>::quiet_NaN()});
+  ASSERT_FALSE(cfg.grid.tuples_distinct());
+  for (const int width : {0, 4}) {
+    Pool pool(std::max(width, 1));
+    try {
+      (void)run_sweep(cfg, width == 0 ? nullptr : &pool);
+      ADD_FAILURE() << "a NaN kappa point must fail the sweep";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), "CostCache: key component is NaN or infinite");
+    }
+  }
 }
 
 TEST(Sweep, MetricsAreConsistentDerivationsOfOneCost) {

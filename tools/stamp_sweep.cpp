@@ -341,10 +341,15 @@ int main(int argc, char** argv) {
 
     if (stats) {
       std::cerr << "sweep: " << result.records.size() << " points, "
-                << threads << " threads, cache " << result.stats.cache_hits
-                << " hits / " << result.stats.cache_misses << " misses / "
-                << result.stats.cache_evictions << " evictions, "
-                << result.stats.pool_steals << " steals, "
+                << threads << " threads, ";
+      if (result.stats.cache_bypassed)
+        std::cerr << "cache off (all tuples distinct), "
+                  << result.stats.cache_misses << " priced, ";
+      else
+        std::cerr << "cache " << result.stats.cache_hits << " hits / "
+                  << result.stats.cache_misses << " misses / "
+                  << result.stats.cache_evictions << " evictions, ";
+      std::cerr << result.stats.pool_steals << " steals, "
                 << result.stats.resumed_points << " resumed, "
                 << result.stats.journaled_points << " journaled, evaluate_s="
                 << evaluate_s << " write_s=" << write_s << "\n";
